@@ -13,6 +13,8 @@ name; explicit flags win over the file, which wins over a preset.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,12 +25,15 @@ from .harness import (
     OPTIMIZERS,
     RunSpec,
     Schedule,
+    _atomic_write,
+    _sidecar_path,
     mean_channel,
     repeat_runs,
     run,
     write_trace_csv,
 )
 from .optim import (
+    REGISTRY,
     PadamConfig,
     amsgrad_step,
     init_state,
@@ -45,6 +50,7 @@ from .problems import (
 )
 from .theory import (
     HypothesisError,
+    _keep_worst,
     optimal_alpha,
     report_to_dict,
     run_trajectory_checks,
@@ -55,16 +61,20 @@ __all__ = ["main"]
 
 PROBLEMS = ("quadratic", "rosenbrock", "logistic", "sparse-growth", "mlp")
 
+# optimizer flag -> default over the whole registry; in flag order the
+# exponent under study leads and the other flags follow alphabetically
+_OPT_FLAG_DEFAULTS = {flag: entry.defaults[param]
+                      for entry in REGISTRY.values()
+                      for param, flag in entry.flags.items()}
+_OPT_FLAGS = tuple(sorted(_OPT_FLAG_DEFAULTS, key=lambda f: (f != "p", f)))
+_PADAM_FLAGS = tuple(f for f in _OPT_FLAGS
+                     if f in REGISTRY["padam"].flags.values())
+
 _DEFAULTS = {
     "problem": None,
     "optimizer": "padam",
     "lr": 0.1,
-    "p": 0.125,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "epsilon": 1e-8,
-    "momentum": 0.9,
-    "weight-decay": 0.01,
+    **_OPT_FLAG_DEFAULTS,
     "steps": 100,
     "seed": 0,
     "seeds": 3,
@@ -91,38 +101,21 @@ _PRESETS = {
     "lstm": {"optimizer": "padam", "p": 0.4, "lr": 0.01},
 }
 
-_RUN_KEYS = (
-    "problem", "optimizer", "lr", "p", "beta1", "beta2", "epsilon",
-    "momentum", "weight-decay", "steps", "seed", "seeds", "init-seed",
-    "schedule", "milestones", "decay", "dim", "condition-number", "noise",
-    "n-samples", "sparsity", "rho", "data-seed",
-)
-
-_SWEEP_KEYS = (
-    "problem", "lr", "beta1", "beta2", "epsilon", "steps", "seed", "seeds",
-    "schedule", "milestones", "decay", "dim", "condition-number", "noise",
-    "n-samples", "sparsity", "rho", "data-seed", "p-list",
-)
-
-_COMPARE_KEYS = (
-    "problem", "lr", "p", "beta1", "beta2", "epsilon", "momentum",
-    "weight-decay", "steps", "seed", "seeds", "schedule", "milestones",
+# keys of run, sweep-p and compare alike; sweep-p only runs padam, with
+# the exponent taken from its grid
+_SHARED_KEYS = (
+    "problem", "lr", "steps", "seed", "seeds", "schedule", "milestones",
     "decay", "dim", "condition-number", "noise", "n-samples", "sparsity",
-    "rho", "data-seed", "optimizers",
+    "rho", "data-seed",
 )
+_RUN_KEYS = _SHARED_KEYS + ("optimizer", "init-seed") + _OPT_FLAGS
+_SWEEP_KEYS = _SHARED_KEYS + ("p-list",) + tuple(
+    f for f in _PADAM_FLAGS if f != "p")
+_COMPARE_KEYS = _SHARED_KEYS + ("optimizers",) + _OPT_FLAGS
 
-# fair single-number defaults when compare is not given an explicit lr
-_COMPARE_LRS = {"padam": 0.1, "sgdm": 0.1, "adam": 0.001, "amsgrad": 0.001,
-                "adamw": 0.001, "adagrad": 0.01}
-
-_OPT_CFG_KEYS = {
-    "padam": ("beta1", "beta2", "p", "epsilon"),
-    "adam": ("beta1", "beta2", "epsilon"),
-    "amsgrad": ("beta1", "beta2", "epsilon"),
-    "adamw": ("beta1", "beta2", "epsilon", "weight-decay"),
-    "sgdm": ("momentum",),
-    "adagrad": ("epsilon",),
-}
+_VERIFY_DEFAULTS = {"steps": 200, "seeds": 5, "seed": 0, "dim": 6,
+                    **{f: _OPT_FLAG_DEFAULTS[f] for f in _PADAM_FLAGS},
+                    "lr": None}
 
 _PROBLEM_CFG_KEYS = {
     "quadratic": ("dim", "condition-number", "noise"),
@@ -151,13 +144,9 @@ def _add_common(sub, keys) -> None:
         arg("--optimizer", choices=OPTIMIZERS)
     if "lr" in keys:
         arg("--lr", type=float)
-    if "p" in keys:
-        arg("--p", type=float)
-    for name in ("beta1", "beta2", "epsilon", "momentum"):
+    for name in _OPT_FLAGS:
         if name in keys:
             arg(f"--{name}", type=float)
-    if "weight-decay" in keys:
-        arg("--weight-decay", type=float)
     for name in ("steps", "seed", "seeds", "dim"):
         if name in keys:
             arg(f"--{name}", type=int)
@@ -207,18 +196,17 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--suite", default="all",
                        choices=("reductions", "gradients", "trajectory",
                                 "bound", "all"))
-    for name, typ in (("steps", int), ("seeds", int), ("seed", int),
-                      ("dim", int), ("p", float), ("beta1", float),
-                      ("beta2", float), ("epsilon", float), ("lr", float)):
-        p_ver.add_argument(f"--{name}", type=typ)
+    for name, default in _VERIFY_DEFAULTS.items():
+        p_ver.add_argument(f"--{name}",
+                           type=int if isinstance(default, int) else float)
     p_ver.add_argument("--outdir", type=str, default=".")
     return parser
 
 
-def _resolve(args, keys) -> tuple[dict, set]:
+def _resolve(args, keys, defaults=_DEFAULTS) -> tuple[dict, set]:
     """Merge defaults, preset, config file, and explicit flags, in that
     order. Returns the effective config and the set of keys the user set."""
-    cfg = {k: _DEFAULTS[k] for k in keys}
+    cfg = {k: defaults[k] for k in keys}
     given: set = set()
     preset = getattr(args, "preset", None)
     if preset:
@@ -246,6 +234,9 @@ def _resolve(args, keys) -> tuple[dict, set]:
         if v is not None:
             cfg[k] = v
             given.add(k)
+    for k in ("steps", "seeds"):
+        if k in cfg and int(cfg[k]) < 1:
+            raise ConfigError(f"{k} must be at least 1, got {cfg[k]}")
     return cfg, given
 
 
@@ -291,22 +282,12 @@ def _build_problem(cfg):
     raise ConfigError(f"unknown problem {name!r}")
 
 
-def _opt_params(cfg, optimizer: str) -> dict:
-    if optimizer == "padam":
-        return {"beta1": float(cfg["beta1"]), "beta2": float(cfg["beta2"]),
-                "p": float(cfg["p"]), "epsilon": float(cfg["epsilon"])}
-    if optimizer in ("adam", "amsgrad"):
-        return {"beta1": float(cfg["beta1"]), "beta2": float(cfg["beta2"]),
-                "epsilon": float(cfg["epsilon"])}
-    if optimizer == "adamw":
-        return {"beta1": float(cfg["beta1"]), "beta2": float(cfg["beta2"]),
-                "epsilon": float(cfg["epsilon"]),
-                "weight_decay": float(cfg["weight-decay"])}
-    if optimizer == "sgdm":
-        return {"mu": float(cfg["momentum"])}
-    if optimizer == "adagrad":
-        return {"epsilon": float(cfg["epsilon"])}
-    raise ConfigError(f"unknown optimizer {optimizer!r}")
+def _flag_params(cfg, optimizer: str) -> dict:
+    """Step-rule parameters of ``optimizer``, read from its flags."""
+    if optimizer not in REGISTRY:
+        raise ConfigError(f"unknown optimizer {optimizer!r}")
+    return {param: float(cfg[flag])
+            for param, flag in REGISTRY[optimizer].flags.items()}
 
 
 def _build_schedule(cfg, lr: float) -> Schedule:
@@ -315,18 +296,17 @@ def _build_schedule(cfg, lr: float) -> Schedule:
                     decay=float(cfg["decay"]))
 
 
-def _build_spec(cfg, optimizer: str, lr: float, record_dense=False) -> RunSpec:
+def _build_spec(cfg, optimizer: str, lr: float) -> RunSpec:
     problem = _build_problem(cfg)
     init_seed = cfg.get("init-seed")
     return RunSpec(
         problem=problem,
         optimizer=optimizer,
-        opt_params=_opt_params(cfg, optimizer),
+        opt_params=_flag_params(cfg, optimizer),
         schedule=_build_schedule(cfg, lr),
         steps=int(cfg["steps"]),
         seed=int(cfg["seed"]),
         init_seed=None if init_seed is None else int(init_seed),
-        record_dense=record_dense,
     )
 
 
@@ -335,7 +315,7 @@ def _flat_config(cfg, optimizer: str, lr: float) -> dict:
     out = {"problem": cfg["problem"], "optimizer": optimizer,
            "lr": float(lr), "schedule": cfg["schedule"],
            "steps": int(cfg["steps"]), "seed": int(cfg["seed"])}
-    for k in _OPT_CFG_KEYS[optimizer]:
+    for k in REGISTRY[optimizer].flags.values():
         out[k] = float(cfg[k])
     for k in _PROBLEM_CFG_KEYS.get(cfg["problem"], ()):
         out[k] = cfg[k]
@@ -360,15 +340,14 @@ def _write_table(path: Path, header: list[str], rows) -> None:
             format(v, ".17g") if isinstance(v, float) else str(v)
             for v in row
         ))
-    path.write_text("\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_meta(table_path: Path, payload: dict) -> Path:
+def _write_meta(table_path: Path, payload: dict) -> None:
     """Sidecar next to a summary CSV so the file is reproducible from its
     own metadata."""
-    path = table_path.with_suffix(".meta.json")
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    _atomic_write(_sidecar_path(table_path),
+                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -468,7 +447,7 @@ def _cmd_compare(args) -> int:
     summary = []
     any_diverged = False
     for name in names:
-        lr = float(cfg["lr"]) if "lr" in given else _COMPARE_LRS[name]
+        lr = float(cfg["lr"]) if "lr" in given else REGISTRY[name].compare_lr
         spec = _build_spec(cfg, name, lr)
         traces = repeat_runs(spec, int(cfg["seeds"]))
         any_diverged |= any(tr.diverged for tr in traces)
@@ -514,7 +493,7 @@ def _verify_reductions(steps: int, seed: int) -> dict:
     x0 = 0.1 * rng.standard_normal(problem.dim)
     lr = 1e-3
 
-    cfg_half = PadamConfig(beta1=0.9, beta2=0.999, p=0.5, epsilon=1e-8)
+    cfg_half = PadamConfig(p=0.5)
     xp = x0.copy()
     xa = x0.copy()
     sp = init_state(problem.dim)
@@ -523,12 +502,13 @@ def _verify_reductions(steps: int, seed: int) -> dict:
     for t in range(1, steps + 1):
         g = problem.stoch_grad(xp, problem.sample_xi(rng, t))
         sp, op = padam_step(sp, xp, g, lr, cfg_half)
-        sa, oa = amsgrad_step(sa, xa, g, lr, 0.9, 0.999, 1e-8)
+        sa, oa = amsgrad_step(sa, xa, g, lr, cfg_half.beta1, cfg_half.beta2,
+                              cfg_half.epsilon)
         xp, xa = op.new_x, oa.new_x
         gap = float(np.abs(xp - xa).max() / (1.0 + np.abs(xa).max()))
         worst_half = max(worst_half, gap)
 
-    cfg_zero = PadamConfig(beta1=0.9, beta2=0.999, p=0.0, epsilon=1e-8)
+    cfg_zero = PadamConfig(p=0.0)
     xp = x0.copy()
     xs = x0.copy()
     sp = init_state(problem.dim)
@@ -537,7 +517,8 @@ def _verify_reductions(steps: int, seed: int) -> dict:
     for t in range(1, steps + 1):
         g = problem.stoch_grad(xp, problem.sample_xi(rng, t))
         sp, op = padam_step(sp, xp, g, lr, cfg_zero)
-        ss, os_ = sgd_momentum_step(ss, xs, g, lr * (1.0 - 0.9), 0.9)
+        ss, os_ = sgd_momentum_step(ss, xs, g, lr * (1.0 - cfg_zero.beta1),
+                                    cfg_zero.beta1)
         xp, xs = op.new_x, os_.new_x
         gap = float(np.abs(xp - xs).max() / (1.0 + np.abs(xs).max()))
         worst_zero = max(worst_zero, gap)
@@ -586,25 +567,17 @@ def _verify_trajectory(steps: int, seeds: int, seed: int, dim: int,
     """Pathwise identity and inequality checks on fresh traces."""
     problem = make_quadratic(dim, 10.0, 0.1)
     worst: dict = {}
-    order = {"pass": 0, "inapplicable": 1, "fail": 2}
     for k in range(seeds):
         spec = RunSpec(
             problem=problem,
             optimizer="padam",
-            opt_params={"beta1": cfg.beta1, "beta2": cfg.beta2, "p": cfg.p,
-                        "epsilon": cfg.epsilon},
+            opt_params=dataclasses.asdict(cfg),
             schedule=Schedule("constant", lr),
             steps=steps,
             seed=seed + k,
             record_dense=True,
         )
-        for name, res in run_trajectory_checks(run(spec), problem,
-                                               cfg).items():
-            prev = worst.get(name)
-            if prev is None or order[res.status] > order[prev.status] \
-                    or (res.status == prev.status
-                        and res.margin < prev.margin):
-                worst[name] = res
+        _keep_worst(worst, run_trajectory_checks(run(spec), problem, cfg))
     return {
         "passed": all(r.status == "pass" for r in worst.values()),
         "steps": steps,
@@ -632,16 +605,10 @@ def _verify_bound_suite(steps: int, seeds: int, seed: int, dim: int,
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    steps = args.steps if args.steps is not None else 200
-    seeds = args.seeds if args.seeds is not None else 5
-    seed = args.seed if args.seed is not None else 0
-    dim = args.dim if args.dim is not None else 6
-    cfg = PadamConfig(
-        beta1=args.beta1 if args.beta1 is not None else 0.9,
-        beta2=args.beta2 if args.beta2 is not None else 0.999,
-        p=args.p if args.p is not None else 0.125,
-        epsilon=args.epsilon if args.epsilon is not None else 1e-8,
-    )
+    settings, _ = _resolve(args, tuple(_VERIFY_DEFAULTS), _VERIFY_DEFAULTS)
+    steps, seeds, seed, dim, lr = (settings[k] for k in
+                                   ("steps", "seeds", "seed", "dim", "lr"))
+    cfg = PadamConfig(**_flag_params(settings, "padam"))
 
     def run_suite(name: str) -> dict:
         if name == "reductions":
@@ -649,16 +616,11 @@ def _cmd_verify(args) -> int:
         if name == "gradients":
             return _verify_gradients(seed)
         if name == "trajectory":
-            lr = args.lr if args.lr is not None else 0.05
-            return _verify_trajectory(steps, seeds, seed, dim, cfg, lr)
-        return _verify_bound_suite(steps, seeds, seed, dim, cfg, args.lr)
+            return _verify_trajectory(steps, seeds, seed, dim, cfg,
+                                      lr if lr is not None else 0.05)
+        return _verify_bound_suite(steps, seeds, seed, dim, cfg, lr)
 
-    report: dict = {
-        "suite": suite,
-        "config": {"steps": steps, "seeds": seeds, "seed": seed, "dim": dim,
-                   "p": cfg.p, "beta1": cfg.beta1, "beta2": cfg.beta2,
-                   "epsilon": cfg.epsilon, "lr": args.lr},
-    }
+    report: dict = {"suite": suite, "config": settings}
     try:
         if suite == "all":
             sub = {}
@@ -673,13 +635,29 @@ def _cmd_verify(args) -> int:
         report["error"] = str(e)
 
     path = _outdir(args) / "report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
     status = "PASS" if report["passed"] else "FAIL"
     print(f"suite {suite}: {status}")
     if "error" in report:
         print(f"  {report['error']}", file=sys.stderr)
     return 0 if report["passed"] else 3
+
+
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds at the ceilings its dynamic
+    policy would reach. Left dynamic, whether each step re-faults freed
+    temporaries (the MLP's 1000 x 16 activations sit just under the 128 KiB
+    default) hinges on heap layout: ``compare --problem mlp`` ran 25-35%
+    slower in an unlucky one. A no-op without ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 _DISPATCH = {
@@ -691,6 +669,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,7 +18,7 @@ import dataclasses
 import json
 import math
 import os
-import tempfile
+import secrets
 import time
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -27,17 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .optim import (
-    NumericError,
-    PadamConfig,
-    adagrad_step,
-    adam_step,
-    adamw_step,
-    amsgrad_step,
-    init_state,
-    padam_step,
-    sgd_momentum_step,
-)
+from .optim import REGISTRY, NumericError, init_state
 from .problems import StochasticProblem
 
 __all__ = [
@@ -58,22 +48,11 @@ __all__ = [
 ]
 
 CSV_HEADER = "t,loss,grad_norm_sq,lr,eff_lr_min,eff_lr_max,vhat_min,vhat_max"
+_COLUMNS = tuple(CSV_HEADER.split(",")[1:])  # the float columns
 
 _SCHEDULE_KINDS = ("constant", "inv_sqrt", "multistage")
 
-# name -> (default params, which state field feeds the vhat trace columns)
-_OPT_DEFAULTS = {
-    "padam": ({"beta1": 0.9, "beta2": 0.999, "p": 0.125, "epsilon": 1e-8},
-              "v_hat"),
-    "adam": ({"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}, "v"),
-    "amsgrad": ({"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}, "v_hat"),
-    "adamw": ({"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8,
-               "weight_decay": 0.01}, "v"),
-    "sgdm": ({"mu": 0.9}, "v"),
-    "adagrad": ({"epsilon": 1e-8}, "v"),
-}
-
-OPTIMIZERS = tuple(_OPT_DEFAULTS)
+OPTIMIZERS = tuple(REGISTRY)
 
 
 class TraceFormatError(ValueError):
@@ -133,7 +112,7 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.steps < 2:
             raise ValueError(f"need at least 2 steps, got {self.steps}")
-        if self.optimizer not in _OPT_DEFAULTS:
+        if self.optimizer not in REGISTRY:
             raise ValueError(
                 f"unknown optimizer {self.optimizer!r}, expected one of "
                 f"{OPTIMIZERS}"
@@ -162,34 +141,13 @@ class Trace:
 
 
 def _resolve_params(optimizer: str, params: dict) -> dict:
-    defaults, _ = _OPT_DEFAULTS[optimizer]
+    defaults = REGISTRY[optimizer].defaults
     unknown = set(params) - set(defaults)
     if unknown:
         raise ValueError(
             f"unknown parameters for {optimizer}: {sorted(unknown)}"
         )
     return {**defaults, **params}
-
-
-def _make_stepper(optimizer: str, params: dict):
-    p = _resolve_params(optimizer, params)
-    if optimizer == "padam":
-        cfg = PadamConfig(beta1=p["beta1"], beta2=p["beta2"], p=p["p"],
-                          epsilon=p["epsilon"])
-        return lambda s, x, g, lr: padam_step(s, x, g, lr, cfg)
-    if optimizer == "adam":
-        return lambda s, x, g, lr: adam_step(s, x, g, lr, p["beta1"],
-                                             p["beta2"], p["epsilon"])
-    if optimizer == "amsgrad":
-        return lambda s, x, g, lr: amsgrad_step(s, x, g, lr, p["beta1"],
-                                                p["beta2"], p["epsilon"])
-    if optimizer == "adamw":
-        return lambda s, x, g, lr: adamw_step(s, x, g, lr, p["beta1"],
-                                              p["beta2"], p["epsilon"],
-                                              p["weight_decay"])
-    if optimizer == "sgdm":
-        return lambda s, x, g, lr: sgd_momentum_step(s, x, g, lr, p["mu"])
-    return lambda s, x, g, lr: adagrad_step(s, x, g, lr, p["epsilon"])
 
 
 def _resolved_config(spec: RunSpec) -> dict:
@@ -224,8 +182,8 @@ def run(spec: RunSpec) -> Trace:
     stops the loop with ``diverged=True`` and the rows recorded so far.
     """
     prob = spec.problem
-    stepper = _make_stepper(spec.optimizer, spec.opt_params)
-    vhat_field = _OPT_DEFAULTS[spec.optimizer][1]
+    entry = REGISTRY[spec.optimizer]
+    stepper = entry.bind(_resolve_params(spec.optimizer, spec.opt_params))
     noise_rng = np.random.default_rng(spec.seed)
     if prob.start is not None:
         x = np.asarray(prob.start, dtype=np.float64).copy()
@@ -235,9 +193,7 @@ def run(spec: RunSpec) -> Trace:
         x = 0.1 * init_rng.standard_normal(prob.dim)
 
     steps = spec.steps
-    cols = {name: np.empty(steps) for name in
-            ("loss", "grad_norm_sq", "lr", "eff_lr_min", "eff_lr_max",
-             "vhat_min", "vhat_max")}
+    cols = {name: np.empty(steps) for name in _COLUMNS}
     dense = None
     if spec.record_dense:
         dense = {name: np.empty((steps, prob.dim))
@@ -270,7 +226,7 @@ def run(spec: RunSpec) -> Trace:
         except NumericError:
             diverged = True
             break
-        vhat = getattr(state, vhat_field)
+        vhat = getattr(state, entry.vhat_field)
         i = t - 1
         cols["loss"][i] = fval
         cols["grad_norm_sq"][i] = gns
@@ -395,7 +351,10 @@ def _float_field(v: float) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # a fresh name opened with O_EXCL rather than mkstemp, so the file gets
+    # the umask-governed mode a plain open() gives instead of 0600
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -420,9 +379,7 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
     lines = [CSV_HEADER]
     for i in range(len(trace.t)):
         lines.append(",".join([str(int(trace.t[i]))] + [
-            _float_field(getattr(trace, name)[i])
-            for name in ("loss", "grad_norm_sq", "lr", "eff_lr_min",
-                         "eff_lr_max", "vhat_min", "vhat_max")
+            _float_field(getattr(trace, name)[i]) for name in _COLUMNS
         ]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -430,6 +387,27 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
     sidecar["diverged"] = trace.diverged
     _atomic_write(_sidecar_path(path), json.dumps(sidecar, indent=2) + "\n")
     return path
+
+
+def _check_trace_values(path: Path, t: np.ndarray, cols: dict) -> None:
+    # run() records t = 1, 2, ... and finite values, except +inf effective
+    # lrs where a denominator is zero under epsilon = 0
+    bad = np.flatnonzero(np.diff(t, prepend=0) < 1)
+    if bad.size:
+        raise TraceFormatError(
+            f"{path}: line {bad[0] + 2}: t = {t[bad[0]]} does not increase "
+            "strictly from 1"
+        )
+    for name, col in cols.items():
+        ok = np.isfinite(col)
+        if name.startswith("eff_lr"):
+            ok |= col == np.inf
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise TraceFormatError(
+                f"{path}: line {bad[0] + 2}: {name} = {col[bad[0]]} is not "
+                "allowed"
+            )
 
 
 def read_trace_csv(path: str | Path) -> Trace:
@@ -442,10 +420,7 @@ def read_trace_csv(path: str | Path) -> Trace:
         )
     n = len(lines) - 1
     t = np.empty(n, dtype=np.int64)
-    cols = {name: np.empty(n) for name in
-            ("loss", "grad_norm_sq", "lr", "eff_lr_min", "eff_lr_max",
-             "vhat_min", "vhat_max")}
-    names = list(cols)
+    cols = {name: np.empty(n) for name in _COLUMNS}
     for i, line in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != 8:
@@ -454,10 +429,11 @@ def read_trace_csv(path: str | Path) -> Trace:
             )
         try:
             t[i] = int(parts[0])
-            for j, name in enumerate(names):
+            for j, name in enumerate(_COLUMNS):
                 cols[name][i] = float(parts[j + 1])
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {i + 2}: {exc}") from exc
+    _check_trace_values(path, t, cols)
 
     meta: dict = {}
     sidecar = _sidecar_path(path)

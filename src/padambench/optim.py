@@ -19,8 +19,9 @@ There is no bias correction anywhere in this family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -136,6 +137,27 @@ def _lr_range(lr: float, denom: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
+def _guarded_update(
+    lr: float, m: np.ndarray, denom: np.ndarray, strict: bool
+) -> np.ndarray:
+    """``lr * m / denom``, zero where ``denom`` is zero; with ``strict``,
+    zero meeting nonzero ``m`` raises ``NumericError`` instead.
+
+    No mask is held across the division, and callers keep ``base`` alive:
+    at d = 1e5 either change alters malloc's heap enough to cost hundreds
+    of page faults per step."""
+    if not (denom == 0.0).any():
+        return lr * m / denom
+    dead = denom == 0.0
+    if strict:
+        bad = np.flatnonzero(dead & (m != 0.0))
+        if bad.size:
+            raise NumericError(
+                f"zero denominator with nonzero momentum at coordinate {bad[0]}"
+            )
+    return np.where(dead, 0.0, lr * m / np.where(dead, 1.0, denom))
+
+
 def padam_step(
     state: OptState,
     x: np.ndarray,
@@ -164,16 +186,7 @@ def padam_step(
 
     base = v_hat + cfg.epsilon
     denom = base**cfg.p
-    dead = base == 0.0
-    if dead.any():
-        bad = np.flatnonzero(dead & (m != 0.0))
-        if bad.size:
-            raise NumericError(
-                f"zero denominator with nonzero momentum at coordinate {bad[0]}"
-            )
-        update = np.where(dead, 0.0, lr * m / np.where(dead, 1.0, denom))
-    else:
-        update = lr * m / denom
+    update = _guarded_update(lr, m, denom, strict=True)
     lo, hi = _lr_range(lr, denom)
     return new_state, StepOutcome(x - update, lo, hi)
 
@@ -201,16 +214,7 @@ def amsgrad_step(
 
     base = v_hat + epsilon
     denom = np.sqrt(base)
-    dead = base == 0.0
-    if dead.any():
-        bad = np.flatnonzero(dead & (m != 0.0))
-        if bad.size:
-            raise NumericError(
-                f"zero denominator with nonzero momentum at coordinate {bad[0]}"
-            )
-        update = np.where(dead, 0.0, lr * m / np.where(dead, 1.0, denom))
-    else:
-        update = lr * m / denom
+    update = _guarded_update(lr, m, denom, strict=True)
     lo, hi = _lr_range(lr, denom)
     return new_state, StepOutcome(x - update, lo, hi)
 
@@ -235,11 +239,7 @@ def adam_step(
     new_state = OptState(m=m, v=v, v_hat=state.v_hat, t=state.t + 1)
 
     denom = np.sqrt(v + epsilon)
-    if (denom == 0.0).any():
-        update = np.where(denom == 0.0, 0.0,
-                          lr * m / np.where(denom == 0.0, 1.0, denom))
-    else:
-        update = lr * m / denom
+    update = _guarded_update(lr, m, denom, strict=False)
     lo, hi = _lr_range(lr, denom)
     return new_state, StepOutcome(x - update, lo, hi)
 
@@ -305,11 +305,7 @@ def adagrad_step(
 
     alpha_t = lr / math.sqrt(t)
     denom = np.sqrt(v + epsilon)
-    if (denom == 0.0).any():
-        update = np.where(denom == 0.0, 0.0,
-                          alpha_t * g / np.where(denom == 0.0, 1.0, denom))
-    else:
-        update = alpha_t * g / denom
+    update = _guarded_update(alpha_t, g, denom, strict=False)
     lo, hi = _lr_range(alpha_t, denom)
     return new_state, StepOutcome(x - update, lo, hi)
 
@@ -328,3 +324,58 @@ def effective_lr_bounds(
         return lr, lr
     denom = (state.v_hat + epsilon) ** p
     return _lr_range(lr, denom)
+
+
+@dataclass(frozen=True)
+class OptimizerEntry:
+    """What the harness, the CLI and the theory checks know of an optimizer.
+
+    ``bind`` turns resolved parameters into a stepper ``(state, x, g, lr)``;
+    ``vhat_field`` feeds the trace's ``vhat_*`` columns; ``compare_lr`` is
+    ``compare``'s default base rate; ``padam_config`` maps parameters into
+    the partially adaptive family (``None`` outside it). A parameter's CLI
+    flag is its kebab-case name unless ``flag_names`` says otherwise.
+    """
+
+    bind: Callable[[dict], Callable]
+    defaults: dict
+    vhat_field: str
+    compare_lr: float
+    padam_config: Callable[[dict], PadamConfig] | None = None
+    flag_names: dict = field(default_factory=dict)
+
+    @property
+    def flags(self) -> dict:
+        """Parameter name -> CLI flag, in ``defaults`` order."""
+        return {k: self.flag_names.get(k, k.replace("_", "-"))
+                for k in self.defaults}
+
+
+_PADAM_DEFAULTS = asdict(PadamConfig())
+_ADAPTIVE_DEFAULTS = {k: v for k, v in _PADAM_DEFAULTS.items() if k != "p"}
+
+# the single place to add an optimizer; order is the public OPTIMIZERS order
+REGISTRY: dict[str, OptimizerEntry] = {
+    "padam": OptimizerEntry(
+        bind=lambda kw: partial(padam_step, cfg=PadamConfig(**kw)),
+        defaults=_PADAM_DEFAULTS, vhat_field="v_hat", compare_lr=0.1,
+        padam_config=lambda kw: PadamConfig(**kw)),
+    "adam": OptimizerEntry(
+        bind=lambda kw: partial(adam_step, **kw),
+        defaults=_ADAPTIVE_DEFAULTS, vhat_field="v", compare_lr=0.001),
+    "amsgrad": OptimizerEntry(
+        bind=lambda kw: partial(amsgrad_step, **kw),
+        defaults=_ADAPTIVE_DEFAULTS, vhat_field="v_hat", compare_lr=0.001,
+        padam_config=lambda kw: PadamConfig(p=0.5, **kw)),
+    "adamw": OptimizerEntry(
+        bind=lambda kw: partial(adamw_step, **kw),
+        defaults={**_ADAPTIVE_DEFAULTS, "weight_decay": 0.01},
+        vhat_field="v", compare_lr=0.001),
+    "sgdm": OptimizerEntry(
+        bind=lambda kw: partial(sgd_momentum_step, **kw),
+        defaults={"mu": 0.9}, vhat_field="v", compare_lr=0.1,
+        flag_names={"mu": "momentum"}),
+    "adagrad": OptimizerEntry(
+        bind=lambda kw: partial(adagrad_step, **kw),
+        defaults={"epsilon": 1e-8}, vhat_field="v", compare_lr=0.01),
+}

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harness import RunSpec, Schedule, Trace, run, select_output
-from .optim import PadamConfig
+from .optim import REGISTRY, PadamConfig
 from .problems import StochasticProblem
 
 __all__ = [
@@ -437,20 +437,6 @@ def check_update_energy(
     )
 
 
-def _cfg_from_trace(trace: Trace) -> PadamConfig:
-    opt = trace.meta.get("optimizer")
-    params = trace.meta.get("config", {}).get("optimizer-params", {})
-    if opt == "padam":
-        return PadamConfig(beta1=params["beta1"], beta2=params["beta2"],
-                           p=params["p"], epsilon=params["epsilon"])
-    if opt == "amsgrad":
-        return PadamConfig(beta1=params["beta1"], beta2=params["beta2"],
-                           p=0.5, epsilon=params["epsilon"])
-    raise ValueError(
-        f"trajectory checks apply to padam-family traces, got {opt!r}"
-    )
-
-
 def run_trajectory_checks(
     trace: Trace,
     problem: StochasticProblem,
@@ -458,13 +444,14 @@ def run_trajectory_checks(
     q: float | None = None,
 ) -> dict[str, CheckResult]:
     """Run every per-step check against one densely recorded trace."""
-    if trace.meta.get("optimizer") not in ("padam", "amsgrad"):
+    opt = trace.meta.get("optimizer")
+    entry = REGISTRY.get(opt)
+    if entry is None or entry.padam_config is None:
         raise ValueError(
-            "trajectory checks apply to padam-family traces, got "
-            f"{trace.meta.get('optimizer')!r}"
+            f"trajectory checks apply to padam-family traces, got {opt!r}"
         )
     if cfg is None:
-        cfg = _cfg_from_trace(trace)
+        cfg = entry.padam_config(trace.meta["config"]["optimizer-params"])
     results = [
         check_z_identity(trace, cfg),
         check_z_step_bound(trace, cfg),
@@ -473,6 +460,21 @@ def run_trajectory_checks(
         check_update_energy(trace, cfg, problem.known_G_inf, q=q),
     ]
     return {r.name: r for r in results}
+
+
+_SEVERITY = {"pass": 0, "inapplicable": 1, "fail": 2}
+
+
+def _keep_worst(worst: dict[str, CheckResult],
+                results: dict[str, CheckResult]) -> None:
+    """Fold one trace's check results into ``worst``, per check: a failure
+    outranks an inapplicable check, which outranks a pass, and among equal
+    statuses the smaller margin wins."""
+    for name, res in results.items():
+        prev = worst.get(name)
+        if prev is None or _SEVERITY[res.status] > _SEVERITY[prev.status] \
+                or (res.status == prev.status and res.margin < prev.margin):
+            worst[name] = res
 
 
 # --------------------------------------------------------------------------
@@ -526,8 +528,7 @@ def verify_bound(
     spec_base = RunSpec(
         problem=problem,
         optimizer="padam",
-        opt_params={"beta1": cfg.beta1, "beta2": cfg.beta2, "p": cfg.p,
-                    "epsilon": cfg.epsilon},
+        opt_params=dataclasses.asdict(cfg),
         schedule=Schedule("constant", alpha),
         steps=steps,
         seed=seed + 1,
@@ -569,11 +570,7 @@ def verify_bound(
                                if cfg.p > 0.0 else float(vhat1.size))
         est = estimate_growth_s(trace.dense["g"], g_inf=problem.known_G_inf)
         fitted = max(fitted, est.s)
-        for name, res in run_trajectory_checks(trace, problem, cfg, q=q).items():
-            prev = agg.get(name)
-            if prev is None or _severity(res) > _severity(prev) \
-                    or (res.status == prev.status and res.margin < prev.margin):
-                agg[name] = res
+        _keep_worst(agg, run_trajectory_checks(trace, problem, cfg, q=q))
         out_rng = np.random.default_rng(seed + 777_000 + k)
         _, x_out = select_output(trace, None, out_rng)
         g_out = problem.exact_grad(x_out)
@@ -610,8 +607,7 @@ def verify_bound(
         notes.append("a trajectory check failed")
     return TheoryReport(
         problem=problem.name,
-        optimizer_params={"beta1": cfg.beta1, "beta2": cfg.beta2,
-                          "p": cfg.p, "epsilon": cfg.epsilon},
+        optimizer_params=dataclasses.asdict(cfg),
         alpha=alpha,
         steps=steps,
         seeds=n_seeds,
@@ -626,10 +622,6 @@ def verify_bound(
         applicable=applicable,
         notes=tuple(notes),
     )
-
-
-def _severity(res: CheckResult) -> int:
-    return {"pass": 0, "inapplicable": 1, "fail": 2}[res.status]
 
 
 def report_to_dict(report: TheoryReport) -> dict:

@@ -6,9 +6,13 @@ values under test, not SystemExit side effects.
 
 import csv
 import json
+import os
 
+import numpy as np
 import pytest
 
+from padambench import (OPTIMIZERS, RunSpec, Schedule, make_quadratic,
+                        read_trace_csv, run)
 from padambench.cli import main
 
 
@@ -52,6 +56,53 @@ def test_run_writes_trace_and_sidecar(tmp_path, capsys):
     assert "trace.csv" in out
 
 
+# each optimizer's flags, all away from their defaults, and the step-rule
+# parameter each flag sets
+_FLAG_PARAMS = {"p": "p", "beta1": "beta1", "beta2": "beta2",
+                "epsilon": "epsilon", "momentum": "mu",
+                "weight-decay": "weight_decay"}
+_NONDEFAULT_FLAGS = {
+    "padam": {"beta1": 0.8, "beta2": 0.99, "p": 0.25, "epsilon": 1e-6},
+    "adam": {"beta1": 0.8, "beta2": 0.99, "epsilon": 1e-6},
+    "amsgrad": {"beta1": 0.8, "beta2": 0.99, "epsilon": 1e-6},
+    "adamw": {"beta1": 0.8, "beta2": 0.99, "epsilon": 1e-6,
+              "weight-decay": 0.05},
+    "sgdm": {"momentum": 0.5},
+    "adagrad": {"epsilon": 1e-6},
+}
+
+
+def test_nondefault_flags_cover_every_optimizer():
+    assert set(_NONDEFAULT_FLAGS) == set(OPTIMIZERS)
+
+
+@pytest.mark.parametrize("name", OPTIMIZERS)
+def test_optimizer_flags_reach_sidecar_and_step(name, tmp_path, capsys):
+    flags = _NONDEFAULT_FLAGS[name]
+    argv = ["run", "--problem", "quadratic", "--optimizer", name,
+            "--dim", "3", "--steps", "12", "--lr", "0.01",
+            "--outdir", str(tmp_path)]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", repr(value)]
+    assert main(argv) == 0
+    cfg = json.loads((tmp_path / "trace.meta.json").read_text())["config"]
+    assert {k: cfg[k] for k in _FLAG_PARAMS if k in cfg} == flags
+
+    def lib_trace(params):
+        return run(RunSpec(make_quadratic(3, 10.0, 0.1), name, params,
+                           Schedule("constant", 0.01), steps=12))
+
+    back = read_trace_csv(tmp_path / "trace.csv")
+    explicit = lib_trace({_FLAG_PARAMS[k]: v for k, v in flags.items()})
+    default = lib_trace({})
+    cols = ("loss", "eff_lr_min", "eff_lr_max", "vhat_max")
+    for col in cols:
+        np.testing.assert_array_equal(getattr(back, col),
+                                      getattr(explicit, col))
+    assert any(not np.array_equal(getattr(back, col), getattr(default, col))
+               for col in cols)
+
+
 def test_run_divergence_exit_code(tmp_path, capsys):
     rc = main([
         "run", "--problem", "quadratic", "--optimizer", "sgdm",
@@ -87,6 +138,15 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)])
     assert rc == 1
     assert "stepz" in capsys.readouterr().err
+
+
+def test_config_file_unknown_optimizer_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"problem": "quadratic",
+                                    "optimizer": "lion"}))
+    rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "lion" in capsys.readouterr().err
 
 
 def test_explicit_flag_overrides_config_file(tmp_path, capsys):
@@ -198,3 +258,34 @@ def test_verify_bound_rejects_void_hypotheses(tmp_path, capsys):
 
 def test_verify_unknown_suite_is_config_error(tmp_path):
     assert main(["verify", "--suite", "bogus", "--outdir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "trajectory", "--seeds", "0"],
+    ["verify", "--suite", "bound", "--seeds", "-1"],
+    ["verify", "--suite", "reductions", "--steps", "0"],
+    ["run", "--problem", "quadratic", "--seeds", "0"],
+    ["run", "--problem", "quadratic", "--seeds", "-3"],
+    ["compare", "--problem", "quadratic", "--steps", "0"],
+])
+def test_nonpositive_counts_are_config_errors(argv, tmp_path, capsys):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_failed_rewrite_keeps_previous_outputs(tmp_path, monkeypatch,
+                                               capsys):
+    argv = ["compare", "--problem", "quadratic", "--dim", "3", "--seeds",
+            "1", "--optimizers", "padam,sgdm", "--outdir", str(tmp_path)]
+    assert main(argv + ["--steps", "10"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert "compare_summary.csv" in before
+
+    def refuse(src, dst):
+        raise OSError("simulated failure while renaming into place")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="simulated"):
+        main(argv + ["--steps", "20"])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -19,7 +21,11 @@ from padambench.harness import (
     select_output_indices,
     write_trace_csv,
 )
-from padambench.problems import make_quadratic, make_rosenbrock
+from padambench.problems import (
+    make_quadratic,
+    make_rosenbrock,
+    make_sparse_growth,
+)
 
 CSV_HEADER = "t,loss,grad_norm_sq,lr,eff_lr_min,eff_lr_max,vhat_min,vhat_max"
 
@@ -312,6 +318,62 @@ def test_read_rejects_bad_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceFormatError, match="line 4"):
         read_trace_csv(path)
+
+
+@pytest.mark.parametrize("line, field, value", [
+    (4, 1, "nan"),         # loss
+    (4, 2, "-inf"),        # grad_norm_sq
+    (2, 3, "inf"),         # lr
+    (5, 4, "nan"),         # eff_lr_min
+    (4, 5, "-inf"),        # eff_lr_max
+    (3, 6, "inf"),         # vhat_min
+    (4, 7, "nan"),         # vhat_max
+    (4, 0, "1"),           # t going 2, 1
+    (4, 0, "2"),           # t repeated
+    (2, 0, "0"),           # t starting at 0
+    (4, 0, "3.0"),         # t not an integer
+    (4, 2, "abc"),         # not a number
+])
+def test_read_rejects_nonconforming_row(tmp_path, line, field, value):
+    trace = run(quad_spec(steps=5))
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, path)
+    lines = path.read_text().splitlines()
+    parts = lines[line - 1].split(",")
+    parts[field] = value
+    lines[line - 1] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match=f"line {line}:"):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("optimizer", ["padam", "amsgrad", "adam", "adagrad"])
+def test_infinite_effective_lr_round_trips(tmp_path, optimizer):
+    # epsilon = 0 on a sparse problem leaves coordinates with a zero
+    # denominator, so the largest effective lr is +inf on every row
+    trace = run(RunSpec(make_sparse_growth(10, sparsity=0.1), optimizer,
+                        {"epsilon": 0.0}, Schedule("constant", 0.1),
+                        steps=20))
+    assert not trace.diverged
+    assert np.all(trace.eff_lr_max == np.inf)
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, path)
+    back = read_trace_csv(path)
+    np.testing.assert_array_equal(back.t, trace.t)
+    for name in ("loss", "grad_norm_sq", "lr", "eff_lr_min", "eff_lr_max",
+                 "vhat_min", "vhat_max"):
+        np.testing.assert_array_equal(getattr(back, name),
+                                      getattr(trace, name))
+
+
+def test_written_files_follow_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_trace_csv(run(quad_spec(steps=5)), tmp_path / "t.csv")
+    finally:
+        os.umask(old)
+    for name in ("t.csv", "t.meta.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640
 
 
 def test_read_without_sidecar(tmp_path):
