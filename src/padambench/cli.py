@@ -7,7 +7,8 @@ the implementation. Exit codes: 0 success, 1 configuration error,
 2 divergence, 3 verification failure.
 
 A JSON config file may supply any long-flag value under its kebab-case
-name; explicit flags win over the file, which wins over a preset.
+name, with the flag's type and choices; explicit flags win over the file,
+which wins over a preset.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import ctypes
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from .harness import (
     OPTIMIZERS,
     RunSpec,
     Schedule,
+    _SCHEDULE_KINDS,
     _atomic_write,
     _sidecar_path,
     mean_channel,
@@ -59,17 +62,31 @@ from .theory import (
 
 __all__ = ["main"]
 
-PROBLEMS = ("quadratic", "rosenbrock", "logistic", "sparse-growth", "mlp")
+# problem -> (factory, the config keys it takes in call order); a trace
+# sidecar's config lists the keys in this order
+_PROBLEMS = {
+    "quadratic": (make_quadratic, ("dim", "condition-number", "noise")),
+    "rosenbrock": (make_rosenbrock, ("dim",)),
+    "logistic": (make_logistic, ("dim", "n-samples", "data-seed")),
+    "sparse-growth": (
+        lambda dim, sparsity, rho, seed:
+            make_sparse_growth(dim, sparsity, seed, rho),
+        ("dim", "sparsity", "rho", "data-seed")),
+    "mlp": (make_mlp, ("data-seed",)),
+}
 
 # optimizer flag -> default over the whole registry; in flag order the
 # exponent under study leads and the other flags follow alphabetically
-_OPT_FLAG_DEFAULTS = {flag: entry.defaults[param]
-                      for entry in REGISTRY.values()
-                      for param, flag in entry.flags.items()}
-_OPT_FLAGS = tuple(sorted(_OPT_FLAG_DEFAULTS, key=lambda f: (f != "p", f)))
+_OPT_FLAG_DEFAULTS = dict(sorted(
+    ((flag, entry.defaults[param]) for entry in REGISTRY.values()
+     for param, flag in entry.flags.items()),
+    key=lambda item: (item[0] != "p", item[0])))
+_OPT_FLAGS = tuple(_OPT_FLAG_DEFAULTS)
 _PADAM_FLAGS = tuple(f for f in _OPT_FLAGS
                      if f in REGISTRY["padam"].flags.values())
 
+# every CLI key in --help order; a key's flag and config-file values have
+# its default's type, unless _TYPES overrides it
 _DEFAULTS = {
     "problem": None,
     "optimizer": "padam",
@@ -78,20 +95,26 @@ _DEFAULTS = {
     "steps": 100,
     "seed": 0,
     "seeds": 3,
+    "dim": 10,
     "init-seed": None,
     "schedule": "constant",
     "milestones": "",
     "decay": 0.1,
-    "dim": 10,
     "condition-number": 10.0,
     "noise": 0.1,
-    "n-samples": 200,
     "sparsity": 1.0,
     "rho": 0.0,
+    "n-samples": 200,
     "data-seed": 0,
     "p-list": "",
     "optimizers": "",
 }
+_TYPES = {**{k: type(v) for k, v in _DEFAULTS.items()},
+          "problem": str, "init-seed": int}
+_CHOICES = {"problem": tuple(_PROBLEMS), "optimizer": OPTIMIZERS,
+            "schedule": _SCHEDULE_KINDS}
+# keys whose config-file value may also be a JSON list, with its item type
+_LIST_ITEMS = {"milestones": int, "p-list": float, "optimizers": str}
 
 _PRESETS = {
     # image-classification style defaults: small exponent, slow second moment
@@ -101,6 +124,11 @@ _PRESETS = {
     "lstm": {"optimizer": "padam", "p": 0.4, "lr": 0.01},
 }
 
+
+def _help_order(*keys) -> tuple:
+    return tuple(k for k in _DEFAULTS if k in keys)
+
+
 # keys of run, sweep-p and compare alike; sweep-p only runs padam, with
 # the exponent taken from its grid
 _SHARED_KEYS = (
@@ -108,22 +136,14 @@ _SHARED_KEYS = (
     "decay", "dim", "condition-number", "noise", "n-samples", "sparsity",
     "rho", "data-seed",
 )
-_RUN_KEYS = _SHARED_KEYS + ("optimizer", "init-seed") + _OPT_FLAGS
-_SWEEP_KEYS = _SHARED_KEYS + ("p-list",) + tuple(
-    f for f in _PADAM_FLAGS if f != "p")
-_COMPARE_KEYS = _SHARED_KEYS + ("optimizers",) + _OPT_FLAGS
+_RUN_KEYS = _help_order(*_SHARED_KEYS, "optimizer", "init-seed", *_OPT_FLAGS)
+_SWEEP_KEYS = _help_order(*_SHARED_KEYS, "p-list",
+                          *(f for f in _PADAM_FLAGS if f != "p"))
+_COMPARE_KEYS = _help_order(*_SHARED_KEYS, "optimizers", *_OPT_FLAGS)
 
 _VERIFY_DEFAULTS = {"steps": 200, "seeds": 5, "seed": 0, "dim": 6,
-                    **{f: _OPT_FLAG_DEFAULTS[f] for f in _PADAM_FLAGS},
+                    **{f: _DEFAULTS[f] for f in _PADAM_FLAGS},
                     "lr": None}
-
-_PROBLEM_CFG_KEYS = {
-    "quadratic": ("dim", "condition-number", "noise"),
-    "rosenbrock": ("dim",),
-    "logistic": ("dim", "n-samples", "data-seed"),
-    "sparse-growth": ("dim", "sparsity", "rho", "data-seed"),
-    "mlp": ("data-seed",),
-}
 
 
 class ConfigError(Exception):
@@ -136,39 +156,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub, keys) -> None:
-    arg = sub.add_argument
-    if "problem" in keys:
-        arg("--problem", choices=PROBLEMS)
-    if "optimizer" in keys:
-        arg("--optimizer", choices=OPTIMIZERS)
-    if "lr" in keys:
-        arg("--lr", type=float)
-    for name in _OPT_FLAGS:
-        if name in keys:
-            arg(f"--{name}", type=float)
-    for name in ("steps", "seed", "seeds", "dim"):
-        if name in keys:
-            arg(f"--{name}", type=int)
-    if "init-seed" in keys:
-        arg("--init-seed", type=int)
-    if "schedule" in keys:
-        arg("--schedule", choices=("constant", "inv_sqrt", "multistage"))
-        arg("--milestones", type=str)
-        arg("--decay", type=float)
-    for name in ("condition-number", "noise", "sparsity", "rho"):
-        if name in keys:
-            arg(f"--{name}", type=float)
-    for name in ("n-samples", "data-seed"):
-        if name in keys:
-            arg(f"--{name}", type=int)
-    if "p-list" in keys:
-        arg("--p-list", type=str)
-    if "optimizers" in keys:
-        arg("--optimizers", type=str)
-    arg("--config", type=str, help="JSON file of kebab-case flag values")
-    arg("--preset", choices=tuple(_PRESETS))
-    arg("--outdir", type=str, default=".")
+def _add_flags(sub, keys) -> None:
+    for k in keys:
+        sub.add_argument(f"--{k}", type=_TYPES[k], choices=_CHOICES.get(k))
 
 
 def _build_parser() -> _Parser:
@@ -178,29 +168,54 @@ def _build_parser() -> _Parser:
                     "verify the convergence guarantee behind them.",
     )
     subs = parser.add_subparsers(dest="command")
-
-    p_run = subs.add_parser("run", help="run one configuration, write its "
-                                        "trace CSV and sidecar")
-    _add_common(p_run, _RUN_KEYS)
-
-    p_sweep = subs.add_parser("sweep-p", help="sweep the adaptivity exponent "
-                                              "over a grid")
-    _add_common(p_sweep, _SWEEP_KEYS)
-
-    p_cmp = subs.add_parser("compare", help="compare the bundled optimizers "
-                                            "on one problem")
-    _add_common(p_cmp, _COMPARE_KEYS)
+    for name, keys, text in (
+        ("run", _RUN_KEYS,
+         "run one configuration, write its trace CSV and sidecar"),
+        ("sweep-p", _SWEEP_KEYS, "sweep the adaptivity exponent over a grid"),
+        ("compare", _COMPARE_KEYS,
+         "compare the bundled optimizers on one problem"),
+    ):
+        sub = subs.add_parser(name, help=text)
+        _add_flags(sub, keys)
+        sub.add_argument("--config", type=str,
+                         help="JSON file of kebab-case flag values")
+        sub.add_argument("--preset", choices=tuple(_PRESETS))
+        sub.add_argument("--outdir", type=str, default=".")
 
     p_ver = subs.add_parser("verify", help="check reductions, gradients, "
                                            "trajectory facts, or the bound")
     p_ver.add_argument("--suite", default="all",
                        choices=("reductions", "gradients", "trajectory",
                                 "bound", "all"))
-    for name, default in _VERIFY_DEFAULTS.items():
-        p_ver.add_argument(f"--{name}",
-                           type=int if isinstance(default, int) else float)
+    _add_flags(p_ver, tuple(_VERIFY_DEFAULTS))
     p_ver.add_argument("--outdir", type=str, default=".")
     return parser
+
+
+def _typed(key: str, value, typ: type):
+    """``value`` if JSON gave it the type ``typ`` (an int passes as a
+    float), converted to ``typ``; otherwise a ConfigError."""
+    if (isinstance(value, (int, float) if typ is float else typ)
+            and not isinstance(value, bool)):
+        try:
+            return typ(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigError(f"config key {key!r} takes {typ.__name__} values, "
+                      f"got {json.dumps(value)}")
+
+
+def _config_value(key: str, value, default):
+    """A config-file value held to the type and choices of its flag."""
+    if value is None and default is None:
+        return None
+    if isinstance(value, list) and key in _LIST_ITEMS:
+        return [_typed(key, v, _LIST_ITEMS[key]) for v in value]
+    value = _typed(key, value, _TYPES[key])
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigError(f"config key {key!r} must be one of "
+                          f"{', '.join(_CHOICES[key])}, got {value!r}")
+    return value
 
 
 def _resolve(args, keys, defaults=_DEFAULTS) -> tuple[dict, set]:
@@ -227,7 +242,7 @@ def _resolve(args, keys, defaults=_DEFAULTS) -> tuple[dict, set]:
         for k, v in data.items():
             if k not in cfg:
                 raise ConfigError(f"unknown config key {k!r}")
-            cfg[k] = v
+            cfg[k] = _config_value(k, v, defaults[k])
             given.add(k)
     for k in keys:
         v = getattr(args, k.replace("-", "_"), None)
@@ -235,96 +250,81 @@ def _resolve(args, keys, defaults=_DEFAULTS) -> tuple[dict, set]:
             cfg[k] = v
             given.add(k)
     for k in ("steps", "seeds"):
-        if k in cfg and int(cfg[k]) < 1:
+        if k in cfg and cfg[k] < 1:
             raise ConfigError(f"{k} must be at least 1, got {cfg[k]}")
     return cfg, given
 
 
 def _parse_milestones(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    text = str(value).strip()
+    if isinstance(value, list):
+        return tuple(value)
+    text = value.strip()
     if not text:
         return ()
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _parse_list(value, cast, what):
-    if isinstance(value, (list, tuple)):
-        return [cast(v) for v in value]
-    text = str(value).strip()
-    if not text:
+def _parse_list(value, cast, what) -> list:
+    if isinstance(value, str):
+        try:
+            value = ([cast(tok.strip()) for tok in value.split(",")]
+                     if value.strip() else [])
+        except ValueError as e:
+            raise ConfigError(f"bad {what} list {value!r}") from e
+    if not value:
         raise ConfigError(f"empty {what} list")
-    try:
-        return [cast(tok.strip()) for tok in text.split(",")]
-    except ValueError as e:
-        raise ConfigError(f"bad {what} list {value!r}") from e
+    return value
 
 
 def _build_problem(cfg):
-    name = cfg["problem"]
-    if name is None:
+    if cfg["problem"] is None:
         raise ConfigError("a problem must be chosen (--problem)")
-    dim = int(cfg.get("dim", _DEFAULTS["dim"]))
-    if name == "quadratic":
-        return make_quadratic(dim, float(cfg["condition-number"]),
-                              float(cfg["noise"]))
-    if name == "rosenbrock":
-        return make_rosenbrock(dim)
-    if name == "logistic":
-        return make_logistic(dim, int(cfg["n-samples"]),
-                             int(cfg["data-seed"]))
-    if name == "sparse-growth":
-        return make_sparse_growth(dim, float(cfg["sparsity"]),
-                                  int(cfg["data-seed"]), float(cfg["rho"]))
-    if name == "mlp":
-        return make_mlp(int(cfg["data-seed"]))
-    raise ConfigError(f"unknown problem {name!r}")
+    factory, keys = _PROBLEMS[cfg["problem"]]
+    return factory(*(cfg[k] for k in keys))
 
 
 def _flag_params(cfg, optimizer: str) -> dict:
     """Step-rule parameters of ``optimizer``, read from its flags."""
-    if optimizer not in REGISTRY:
-        raise ConfigError(f"unknown optimizer {optimizer!r}")
-    return {param: float(cfg[flag])
+    return {param: cfg[flag]
             for param, flag in REGISTRY[optimizer].flags.items()}
 
 
-def _build_schedule(cfg, lr: float) -> Schedule:
-    return Schedule(cfg["schedule"], float(lr),
-                    milestones=_parse_milestones(cfg["milestones"]),
-                    decay=float(cfg["decay"]))
-
-
 def _build_spec(cfg, optimizer: str, lr: float) -> RunSpec:
-    problem = _build_problem(cfg)
-    init_seed = cfg.get("init-seed")
     return RunSpec(
-        problem=problem,
+        problem=_build_problem(cfg),
         optimizer=optimizer,
         opt_params=_flag_params(cfg, optimizer),
-        schedule=_build_schedule(cfg, lr),
-        steps=int(cfg["steps"]),
-        seed=int(cfg["seed"]),
-        init_seed=None if init_seed is None else int(init_seed),
+        schedule=Schedule(cfg["schedule"], lr,
+                          milestones=_parse_milestones(cfg["milestones"]),
+                          decay=cfg["decay"]),
+        steps=cfg["steps"],
+        seed=cfg["seed"],
+        init_seed=cfg.get("init-seed"),
     )
 
 
-def _flat_config(cfg, optimizer: str, lr: float) -> dict:
-    """Effective settings for the sidecar, kebab-case like the flags."""
-    out = {"problem": cfg["problem"], "optimizer": optimizer,
-           "lr": float(lr), "schedule": cfg["schedule"],
-           "steps": int(cfg["steps"]), "seed": int(cfg["seed"])}
-    for k in REGISTRY[optimizer].flags.values():
-        out[k] = float(cfg[k])
-    for k in _PROBLEM_CFG_KEYS.get(cfg["problem"], ()):
-        out[k] = cfg[k]
+def _flat_config(cfg) -> dict:
+    """Effective settings of a run for the sidecar, kebab-case like the
+    flags."""
+    keys = ("problem", "optimizer", "lr", "schedule", "steps", "seed",
+            *REGISTRY[cfg["optimizer"]].flags.values(),
+            *_PROBLEMS[cfg["problem"]][1])
+    out = {k: cfg[k] for k in keys}
     if cfg["schedule"] == "multistage":
         out["milestones"] = list(_parse_milestones(cfg["milestones"]))
-        out["decay"] = float(cfg["decay"])
-    if cfg.get("init-seed") is not None:
-        out["init-seed"] = int(cfg["init-seed"])
+        out["decay"] = cfg["decay"]
+    if cfg["init-seed"] is not None:
+        out["init-seed"] = cfg["init-seed"]
     return out
+
+
+def _mean_rows(traces) -> list[tuple]:
+    """``(t, mean loss, mean squared grad norm)`` over the replicas, for
+    each step they all recorded."""
+    losses = mean_channel(traces, "loss")
+    gns = mean_channel(traces, "grad_norm_sq")
+    return [(int(t), float(loss), float(gn))
+            for t, loss, gn in zip(traces[0].t, losses, gns)]
 
 
 def _outdir(args) -> Path:
@@ -356,12 +356,10 @@ def _write_meta(table_path: Path, payload: dict) -> None:
 
 def _cmd_run(args) -> int:
     cfg, given = _resolve(args, _RUN_KEYS)
-    optimizer = cfg["optimizer"]
-    lr = float(cfg["lr"])
-    spec = _build_spec(cfg, optimizer, lr)
-    flat = _flat_config(cfg, optimizer, lr)
+    spec = _build_spec(cfg, cfg["optimizer"], cfg["lr"])
+    flat = _flat_config(cfg)
     outdir = _outdir(args)
-    seeds = int(cfg["seeds"]) if "seeds" in given else 1
+    seeds = cfg["seeds"] if "seeds" in given else 1
     if seeds <= 1:
         trace = run(spec)
         trace.meta["config"] = flat
@@ -379,16 +377,12 @@ def _cmd_run(args) -> int:
     for tr in traces:
         tr.meta["config"] = dict(flat, seed=tr.meta["seed"])
         write_trace_csv(tr, outdir / f"trace_seed{tr.meta['seed']}.csv")
-    losses = mean_channel(traces, "loss")
-    gns = mean_channel(traces, "grad_norm_sq")
-    ts = traces[0].t[: len(losses)]
-    rows = [(int(t), float(losses[i]), float(gns[i]))
-            for i, t in enumerate(ts)]
+    rows = _mean_rows(traces)
     path = outdir / "summary.csv"
     _write_table(path, ["t", "mean_loss", "mean_grad_norm_sq"], rows)
     _write_meta(path, {"config": flat, "seeds": seeds})
     print(f"wrote {seeds} traces and {path}")
-    print(f"mean final loss {losses[-1]:.8g} over {seeds} seeds")
+    print(f"mean final loss {rows[-1][1]:.8g} over {seeds} seeds")
     if any(tr.diverged for tr in traces):
         print("at least one replica diverged", file=sys.stderr)
         return 2
@@ -401,28 +395,22 @@ def _cmd_sweep_p(args) -> int:
         grid = _parse_list(cfg["p-list"], float, "p")
     else:
         grid = [0.0625, 0.125, 0.2, 0.25, 0.4]
-    lr = float(cfg["lr"])
     rows = []
     finals = []
     any_diverged = False
     for p in grid:
-        sub = dict(cfg)
-        sub["p"] = p
-        spec = _build_spec(sub, "padam", lr)
-        traces = repeat_runs(spec, int(cfg["seeds"]))
+        spec = _build_spec({**cfg, "p": p}, "padam", cfg["lr"])
+        traces = repeat_runs(spec, cfg["seeds"])
         any_diverged |= any(tr.diverged for tr in traces)
-        losses = mean_channel(traces, "loss")
-        gns = mean_channel(traces, "grad_norm_sq")
-        ts = traces[0].t[: len(losses)]
-        for i, t in enumerate(ts):
-            rows.append((float(p), int(t), float(losses[i]), float(gns[i])))
-        finals.append((p, float(losses[-1])))
+        mean = _mean_rows(traces)
+        rows += [(p, *row) for row in mean]
+        finals.append((p, mean[-1][1]))
     path = _outdir(args) / "sweep.csv"
     _write_table(path, ["p", "t", "mean_loss", "mean_grad_norm_sq"], rows)
     _write_meta(path, {"config": {k: cfg[k] for k in _SWEEP_KEYS
                                   if k != "p-list"},
-                       "p_grid": [float(p) for p in grid],
-                       "seeds": int(cfg["seeds"])})
+                       "p_grid": grid,
+                       "seeds": cfg["seeds"]})
     print(f"wrote {path}")
     best = min(finals, key=lambda pair: pair[1])
     for p, final in finals:
@@ -447,17 +435,13 @@ def _cmd_compare(args) -> int:
     summary = []
     any_diverged = False
     for name in names:
-        lr = float(cfg["lr"]) if "lr" in given else REGISTRY[name].compare_lr
-        spec = _build_spec(cfg, name, lr)
-        traces = repeat_runs(spec, int(cfg["seeds"]))
+        lr = cfg["lr"] if "lr" in given else REGISTRY[name].compare_lr
+        traces = repeat_runs(_build_spec(cfg, name, lr), cfg["seeds"])
         any_diverged |= any(tr.diverged for tr in traces)
-        losses = mean_channel(traces, "loss")
-        gns = mean_channel(traces, "grad_norm_sq")
-        ts = traces[0].t[: len(losses)]
-        for i, t in enumerate(ts):
-            rows.append((name, int(t), float(losses[i]), float(gns[i])))
-        last_loss = [float(tr.loss[len(losses) - 1]) for tr in traces]
-        last_gns = [float(tr.grad_norm_sq[len(losses) - 1]) for tr in traces]
+        mean = _mean_rows(traces)
+        rows += [(name, *row) for row in mean]
+        last_loss = [float(tr.loss[len(mean) - 1]) for tr in traces]
+        last_gns = [float(tr.grad_norm_sq[len(mean) - 1]) for tr in traces]
         summary.append((name, lr,
                         float(np.mean(last_loss)), float(np.std(last_loss)),
                         float(np.mean(last_gns)), float(np.std(last_gns))))
@@ -472,7 +456,7 @@ def _cmd_compare(args) -> int:
     _write_meta(path, {"config": {k: cfg[k] for k in _COMPARE_KEYS
                                   if k != "optimizers"},
                        "optimizers": names,
-                       "seeds": int(cfg["seeds"])})
+                       "seeds": cfg["seeds"]})
     print(f"wrote {path}")
     print(f"wrote {spath}")
     print(f"{'optimizer':<10} {'lr':>8}  final mean loss (+/- std)")
@@ -486,51 +470,37 @@ def _cmd_compare(args) -> int:
 # --------------------------------------------------------------------------
 
 def _verify_reductions(steps: int, seed: int) -> dict:
-    """Drive the half-exponent and zero-exponent reductions side by side on
-    one gradient stream and report the worst relative split."""
+    """Drive each endpoint exponent side by side with the method it reduces
+    to, on one gradient stream, and report the worst relative split."""
     problem = make_quadratic(8, 10.0, 0.1)
     rng = np.random.default_rng(seed)
     x0 = 0.1 * rng.standard_normal(problem.dim)
     lr = 1e-3
-
-    cfg_half = PadamConfig(p=0.5)
-    xp = x0.copy()
-    xa = x0.copy()
-    sp = init_state(problem.dim)
-    sa = init_state(problem.dim)
-    worst_half = 0.0
-    for t in range(1, steps + 1):
-        g = problem.stoch_grad(xp, problem.sample_xi(rng, t))
-        sp, op = padam_step(sp, xp, g, lr, cfg_half)
-        sa, oa = amsgrad_step(sa, xa, g, lr, cfg_half.beta1, cfg_half.beta2,
-                              cfg_half.epsilon)
-        xp, xa = op.new_x, oa.new_x
-        gap = float(np.abs(xp - xa).max() / (1.0 + np.abs(xa).max()))
-        worst_half = max(worst_half, gap)
-
-    cfg_zero = PadamConfig(p=0.0)
-    xp = x0.copy()
-    xs = x0.copy()
-    sp = init_state(problem.dim)
-    ss = init_state(problem.dim)
-    worst_zero = 0.0
-    for t in range(1, steps + 1):
-        g = problem.stoch_grad(xp, problem.sample_xi(rng, t))
-        sp, op = padam_step(sp, xp, g, lr, cfg_zero)
-        ss, os_ = sgd_momentum_step(ss, xs, g, lr * (1.0 - cfg_zero.beta1),
-                                    cfg_zero.beta1)
-        xp, xs = op.new_x, os_.new_x
-        gap = float(np.abs(xp - xs).max() / (1.0 + np.abs(xs).max()))
-        worst_zero = max(worst_zero, gap)
-
-    tol = 1e-9
-    return {
-        "passed": worst_half <= tol and worst_zero <= tol,
-        "tolerance": tol,
-        "steps": steps,
-        "max_rel_gap_half_exponent": worst_half,
-        "max_rel_gap_zero_exponent": worst_zero,
+    cfg = PadamConfig()
+    # exponent -> (report name, reference step, the lr it takes)
+    references = {
+        0.5: ("half", partial(amsgrad_step, beta1=cfg.beta1,
+                              beta2=cfg.beta2, epsilon=cfg.epsilon), lr),
+        0.0: ("zero", partial(sgd_momentum_step, mu=cfg.beta1),
+              lr * (1.0 - cfg.beta1)),
     }
+    tol = 1e-9
+    out = {"passed": True, "tolerance": tol, "steps": steps}
+    for p, (name, reference, ref_lr) in references.items():
+        padam_cfg = dataclasses.replace(cfg, p=p)
+        xp, xr = x0.copy(), x0.copy()
+        sp, sr = init_state(problem.dim), init_state(problem.dim)
+        worst = 0.0
+        for t in range(1, steps + 1):
+            g = problem.stoch_grad(xp, problem.sample_xi(rng, t))
+            sp, op = padam_step(sp, xp, g, lr, padam_cfg)
+            sr, orf = reference(sr, xr, g, ref_lr)
+            xp, xr = op.new_x, orf.new_x
+            gap = float(np.abs(xp - xr).max() / (1.0 + np.abs(xr).max()))
+            worst = max(worst, gap)
+        out[f"max_rel_gap_{name}_exponent"] = worst
+        out["passed"] = out["passed"] and worst <= tol
+    return out
 
 
 def _verify_gradients(seed: int) -> dict:

@@ -438,6 +438,13 @@ def read_trace_csv(path: str | Path) -> Trace:
     meta: dict = {}
     sidecar = _sidecar_path(path)
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-    return Trace(t=t, diverged=bool(meta.get("diverged", False)),
-                 meta=meta, **cols)
+        try:
+            meta = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(
+                f"{sidecar}: not valid JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise TraceFormatError(f"{sidecar}: must hold a JSON object")
+        if not isinstance(meta.get("diverged", False), bool):
+            raise TraceFormatError(f"{sidecar}: 'diverged' must be a bool")
+    return Trace(t=t, diverged=meta.get("diverged", False), meta=meta, **cols)

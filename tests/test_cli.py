@@ -7,6 +7,7 @@ values under test, not SystemExit side effects.
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -289,3 +290,79 @@ def test_failed_rewrite_keeps_previous_outputs(tmp_path, monkeypatch,
     with pytest.raises(OSError, match="simulated"):
         main(argv + ["--steps", "20"])
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# one case per subcommand and problem; across the run cases every run key
+# is set away from its default at least once
+_FLAG_CONFIG_CASES = [
+    ("run", {"problem": "quadratic", "optimizer": "padam", "lr": 0.02,
+             "p": 0.25, "beta1": 0.8, "beta2": 0.99, "epsilon": 1e-6,
+             "steps": 30, "seed": 2, "dim": 4, "init-seed": 5,
+             "schedule": "multistage", "milestones": "10,20", "decay": 0.5,
+             "condition-number": 3.0, "noise": 0.2}),
+    ("run", {"problem": "logistic", "optimizer": "adamw", "dim": 4,
+             "steps": 20, "seeds": 2, "n-samples": 50, "data-seed": 3,
+             "weight-decay": 0.02}),
+    ("run", {"problem": "sparse-growth", "optimizer": "sgdm",
+             "momentum": 0.5, "dim": 5, "steps": 20, "sparsity": 0.5,
+             "rho": 0.2}),
+    ("run", {"problem": "rosenbrock", "optimizer": "adagrad", "lr": 0.01,
+             "dim": 3, "steps": 20, "schedule": "inv_sqrt"}),
+    ("sweep-p", {"problem": "quadratic", "dim": 3, "steps": 15, "seeds": 2,
+                 "lr": 0.05, "p-list": "0.5,0.25", "beta1": 0.8}),
+    ("compare", {"problem": "logistic", "dim": 3, "steps": 15, "seeds": 2,
+                 "n-samples": 40, "optimizers": "padam,sgdm,adamw",
+                 "momentum": 0.5, "weight-decay": 0.02}),
+]
+
+
+def test_flag_config_cases_cover_every_run_key():
+    from padambench.cli import _DEFAULTS
+    changed = {k for command, values in _FLAG_CONFIG_CASES if command == "run"
+               for k, v in values.items() if v != _DEFAULTS[k]}
+    assert changed == set(_DEFAULTS) - {"p-list", "optimizers"}
+
+
+def _written_files(outdir):
+    files = {}
+    for path in sorted(outdir.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            text = re.sub(r'"wall_ms": [^,\n]+', '"wall_ms": 0', text)
+        files[path.name] = text
+    return files
+
+
+@pytest.mark.parametrize("command, values", _FLAG_CONFIG_CASES)
+def test_config_file_matches_flags(command, values, tmp_path, capsys):
+    argv = [command]
+    for k, v in values.items():
+        argv += [f"--{k}", str(v)]
+    assert main(argv + ["--outdir", str(tmp_path / "flags")]) == 0
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(values))
+    assert main([command, "--config", str(cfg_path),
+                 "--outdir", str(tmp_path / "config")]) == 0
+    flags = _written_files(tmp_path / "flags")
+    assert flags
+    assert _written_files(tmp_path / "config") == flags
+
+
+@pytest.mark.parametrize("body, key", [
+    ({"lr": None}, "lr"),
+    ({"steps": None}, "steps"),
+    ({"dim": [3]}, "dim"),
+    ({"steps": 2.7}, "steps"),
+    ({"steps": True}, "steps"),
+    ({"schedule": "cosine"}, "schedule"),
+    ({"milestones": [2.5]}, "milestones"),
+])
+def test_config_value_must_match_flag_type(body, key, tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"problem": "quadratic", "dim": 3,
+                                    "steps": 5, **body}))
+    outdir = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg_path), "--outdir", str(outdir)])
+    assert rc == 1
+    assert not outdir.exists()
+    assert repr(key) in capsys.readouterr().err

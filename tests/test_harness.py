@@ -386,6 +386,19 @@ def test_read_without_sidecar(tmp_path):
     assert back.diverged is False
 
 
+@pytest.mark.parametrize("sidecar", [
+    '{"broken',              # not JSON
+    '[1, 2]',                # not an object
+    '{"diverged": "no"}',    # diverged not a bool
+])
+def test_read_rejects_bad_sidecar(tmp_path, sidecar):
+    path = tmp_path / "t.csv"
+    write_trace_csv(run(quad_spec(steps=5)), path)
+    (tmp_path / "t.meta.json").write_text(sidecar)
+    with pytest.raises(TraceFormatError, match="t.meta.json"):
+        read_trace_csv(path)
+
+
 def test_csv_uses_17_significant_digits(tmp_path):
     trace = run(quad_spec(steps=5))
     path = tmp_path / "t.csv"
