@@ -18,6 +18,7 @@ import ctypes
 import dataclasses
 import json
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .harness import (
     _SCHEDULE_KINDS,
     _atomic_write,
     _sidecar_path,
+    iter_runs,
     mean_channel,
     repeat_runs,
     run,
@@ -536,18 +538,18 @@ def _verify_trajectory(steps: int, seeds: int, seed: int, dim: int,
                        cfg: PadamConfig, lr: float) -> dict:
     """Pathwise identity and inequality checks on fresh traces."""
     problem = make_quadratic(dim, 10.0, 0.1)
+    spec = RunSpec(
+        problem=problem,
+        optimizer="padam",
+        opt_params=dataclasses.asdict(cfg),
+        schedule=Schedule("constant", lr),
+        steps=steps,
+        seed=seed,
+        record_dense=True,
+    )
     worst: dict = {}
-    for k in range(seeds):
-        spec = RunSpec(
-            problem=problem,
-            optimizer="padam",
-            opt_params=dataclasses.asdict(cfg),
-            schedule=Schedule("constant", lr),
-            steps=steps,
-            seed=seed + k,
-            record_dense=True,
-        )
-        _keep_worst(worst, run_trajectory_checks(run(spec), problem, cfg))
+    for trace in iter_runs(spec, seeds):
+        _keep_worst(worst, run_trajectory_checks(trace, problem, cfg))
     return {
         "passed": all(r.status == "pass" for r in worst.values()),
         "steps": steps,
@@ -581,14 +583,18 @@ def _cmd_verify(args) -> int:
     cfg = PadamConfig(**_flag_params(settings, "padam"))
 
     def run_suite(name: str) -> dict:
+        started = time.perf_counter()
         if name == "reductions":
-            return _verify_reductions(steps, seed)
-        if name == "gradients":
-            return _verify_gradients(seed)
-        if name == "trajectory":
-            return _verify_trajectory(steps, seeds, seed, dim, cfg,
-                                      lr if lr is not None else 0.05)
-        return _verify_bound_suite(steps, seeds, seed, dim, cfg, lr)
+            out = _verify_reductions(steps, seed)
+        elif name == "gradients":
+            out = _verify_gradients(seed)
+        elif name == "trajectory":
+            out = _verify_trajectory(steps, seeds, seed, dim, cfg,
+                                     lr if lr is not None else 0.05)
+        else:
+            out = _verify_bound_suite(steps, seeds, seed, dim, cfg, lr)
+        out["wall_ms"] = 1000.0 * (time.perf_counter() - started)
+        return out
 
     report: dict = {"suite": suite, "config": settings}
     try:

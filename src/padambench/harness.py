@@ -14,20 +14,18 @@ next to each CSV holds the resolved configuration.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
 import secrets
 import time
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .optim import REGISTRY, NumericError, init_state
+from .optim import REGISTRY, NumericError, OptState
 from .problems import StochasticProblem
 
 __all__ = [
@@ -37,6 +35,7 @@ __all__ = [
     "Schedule",
     "Trace",
     "TraceFormatError",
+    "iter_runs",
     "mean_channel",
     "read_trace_csv",
     "repeat_runs",
@@ -175,121 +174,201 @@ def _resolved_config(spec: RunSpec) -> dict:
     }
 
 
+# replicas advanced together; bounds the dense histories alive at once
+_BLOCK = 16
+
+
 def run(spec: RunSpec) -> Trace:
     """Execute one run and return its trace.
 
     Never raises on numeric blowup: a nonfinite loss, gradient or iterate
     stops the loop with ``diverged=True`` and the rows recorded so far.
     """
+    return _run_block(spec, [spec.seed])[0]
+
+
+def iter_runs(spec: RunSpec, n_seeds: int):
+    """Yield the traces of seeds ``spec.seed + k`` for ``k < n_seeds``, in
+    order. Replicas advance in blocks of at most 16, each run only when
+    the consumer reaches it; a block's traces share its arrays, which are
+    freed once its last trace is dropped."""
+    if n_seeds < 1:
+        raise ValueError(f"need at least one seed, got {n_seeds}")
+    for first in range(0, n_seeds, _BLOCK):
+        last = min(first + _BLOCK, n_seeds)
+        yield from _run_block(
+            spec, [spec.seed + k for k in range(first, last)])
+
+
+def repeat_runs(spec: RunSpec, n_seeds: int) -> list[Trace]:
+    """Run ``n_seeds`` replicas with seeds ``spec.seed + k``, in order.
+
+    Each trace is bitwise the one ``run`` gives for its seed."""
+    return list(iter_runs(spec, n_seeds))
+
+
+def _take(state: OptState, keep) -> OptState:
+    return OptState(m=state.m[keep], v=state.v[keep],
+                    v_hat=state.v_hat[keep], t=state.t)
+
+
+def _raises(stepper, state: OptState, x, g, lr: float, j: int) -> bool:
+    """Whether the step raises ``NumericError`` on block row ``j`` alone."""
+    try:
+        stepper(_take(state, j), x[j], g[j], lr)
+    except NumericError:
+        return True
+    return False
+
+
+def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
+    """Run ``spec`` once per seed, advancing the replicas together as
+    ``(S, d)`` arrays.
+
+    The step rule runs once per step on the whole block and the problem's
+    oracles once per row, so every row follows its lone run bit for bit. A
+    row stops at the check and the step where its lone run would stop
+    (nonfinite loss or gradient norm, nonfinite stochastic gradient,
+    ``NumericError``, nonfinite new iterate); the other rows carry on.
+    """
     prob = spec.problem
     entry = REGISTRY[spec.optimizer]
     stepper = entry.bind(_resolve_params(spec.optimizer, spec.opt_params))
-    noise_rng = np.random.default_rng(spec.seed)
-    if prob.start is not None:
-        x = np.asarray(prob.start, dtype=np.float64).copy()
-    else:
-        init_rng = (np.random.default_rng(spec.init_seed)
-                    if spec.init_seed is not None else noise_rng)
-        x = 0.1 * init_rng.standard_normal(prob.dim)
+    S, d, steps = len(seeds), prob.dim, spec.steps
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    x = np.empty((S, d))
+    for j, rng in enumerate(rngs):
+        if prob.start is not None:
+            x[j] = prob.start
+        else:
+            init_rng = (np.random.default_rng(spec.init_seed)
+                        if spec.init_seed is not None else rng)
+            x[j] = 0.1 * init_rng.standard_normal(d)
 
-    steps = spec.steps
-    cols = {name: np.empty(steps) for name in _COLUMNS}
+    cols = {name: np.empty((S, steps)) for name in _COLUMNS}
     dense = None
     if spec.record_dense:
-        dense = {name: np.empty((steps, prob.dim))
+        dense = {name: np.empty((S, steps, d))
                  for name in ("x", "g", "m", "vhat")}
+    zeros = np.zeros((S, d))
+    state = OptState(m=zeros, v=zeros.copy(), v_hat=zeros.copy())
+    g_block = np.empty((S, d))
+    # per replica; a running replica sits at block row live.index(replica)
+    recorded = [steps] * S
+    diverged = [False] * S
+    box_exit: list[int | None] = [None] * S
+    x_final: list[np.ndarray | None] = [None] * S
+    live = list(range(S))
+    rows: slice | np.ndarray = slice(None)  # the live replicas
 
-    state = init_state(prob.dim)
-    diverged = False
-    box_exit = None
-    n = 0
+    def retire(stop, n, state, *arrays):
+        """Stop block rows ``stop`` with ``n`` rows recorded; returns
+        ``state`` and ``arrays`` cut to the rows that carry on."""
+        nonlocal rows
+        keep = np.ones(len(live), dtype=bool)
+        keep[stop] = False
+        for j in stop:
+            recorded[live[j]] = n
+            diverged[live[j]] = True
+            x_final[live[j]] = x[j]
+        live[:] = [r for r, k in zip(live, keep) if k]
+        rows = np.array(live, dtype=np.intp)
+        return (_take(state, keep), *(a[keep] for a in arrays))
+
+    loss, exact_grad = prob.loss, prob.exact_grad
+    stoch_grad, sample_xi = prob.stoch_grad, prob.sample_xi
+    loss_col, gns_col = cols["loss"], cols["grad_norm_sq"]
     started = time.perf_counter()
     for t in range(1, steps + 1):
+        i = t - 1
+        xs = list(x)
+        stop = []
         # overflow on a blown-up iterate is the divergence signal, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            fval = prob.loss(x)
-            g_exact = prob.exact_grad(x)
-            gns = float(g_exact @ g_exact)
-        if not (math.isfinite(fval) and math.isfinite(gns)):
-            diverged = True
-            break
-        if box_exit is None and np.max(np.abs(x)) > prob.box:
-            box_exit = t
+            for j, xj in enumerate(xs):
+                loss_col[live[j], i] = fval = loss(xj)
+                g_exact = exact_grad(xj)
+                gns_col[live[j], i] = gns = float(g_exact @ g_exact)
+                if not (math.isfinite(fval) and math.isfinite(gns)):
+                    stop.append(j)
+        if None in box_exit and np.abs(x).max() > prob.box:
+            for j in np.flatnonzero(np.abs(x).max(axis=1) > prob.box):
+                if box_exit[live[j]] is None and j not in stop:
+                    box_exit[live[j]] = t
         lr_t = schedule_lr(spec.schedule, t)
-        xi = prob.sample_xi(noise_rng, t)
-        g = prob.stoch_grad(x, xi)
-        if not np.all(np.isfinite(g)):
-            diverged = True
-            break
+        for j, xj in enumerate(xs):
+            if stop and j in stop:
+                continue
+            g = stoch_grad(xj, sample_xi(rngs[live[j]], t))
+            if S > 1:
+                g_block[j] = g
+            else:  # a view: a lone run adds no full-size copy per step
+                g_block = np.asarray(g, dtype=np.float64)[None]
+        if not np.isfinite(g_block).all():
+            bad = np.flatnonzero(~np.isfinite(g_block).all(axis=1))
+            stop += [j for j in bad if j not in stop]
+        if stop:
+            state, x, g_block = retire(stop, t - 1, state, x, g_block)
+            if not live:
+                break
         try:
-            state, out = stepper(state, x, g, lr_t)
+            state, out = stepper(state, x, g_block, lr_t)
         except NumericError:
-            diverged = True
-            break
+            # rare: retire the rows that raise on their own, step the rest
+            stop = [j for j in range(len(live))
+                    if _raises(stepper, state, x, g_block, lr_t, j)]
+            if not stop:
+                raise
+            state, x, g_block = retire(stop, t - 1, state, x, g_block)
+            if not live:
+                break
+            state, out = stepper(state, x, g_block, lr_t)
         vhat = getattr(state, entry.vhat_field)
-        i = t - 1
-        cols["loss"][i] = fval
-        cols["grad_norm_sq"][i] = gns
-        cols["lr"][i] = lr_t
-        cols["eff_lr_min"][i] = out.effective_lr_min
-        cols["eff_lr_max"][i] = out.effective_lr_max
-        cols["vhat_min"][i] = vhat.min()
-        cols["vhat_max"][i] = vhat.max()
+        cols["lr"][rows, i] = lr_t
+        cols["eff_lr_min"][rows, i] = out.effective_lr_min
+        cols["eff_lr_max"][rows, i] = out.effective_lr_max
+        cols["vhat_min"][rows, i] = vhat.min(axis=1)
+        cols["vhat_max"][rows, i] = vhat.max(axis=1)
         if dense is not None:
-            dense["x"][i] = x
-            dense["g"][i] = g
-            dense["m"][i] = state.m
-            dense["vhat"][i] = vhat
-        n = t
-        if not np.all(np.isfinite(out.new_x)):
-            diverged = True
-            break
-        x = out.new_x
+            dense["x"][rows, i] = x
+            dense["g"][rows, i] = g_block
+            dense["m"][rows, i] = state.m
+            dense["vhat"][rows, i] = vhat
+        new_x = out.new_x
+        if not np.isfinite(new_x).all():
+            bad = np.flatnonzero(~np.isfinite(new_x).all(axis=1))
+            state, new_x, g_block = retire(bad, t, state, new_x, g_block)
+            if not live:
+                break
+        x = new_x
     wall_ms = 1000.0 * (time.perf_counter() - started)
 
-    if dense is not None:
-        dense = {k: v[:n] for k, v in dense.items()}
-        dense["x_final"] = x.copy()
-    meta = {
-        "problem": prob.name,
-        "optimizer": spec.optimizer,
-        "config": _resolved_config(spec),
-        "seed": spec.seed,
-        "diverged": diverged,
-        "wall_ms": wall_ms,
-    }
-    return Trace(
-        t=np.arange(1, n + 1, dtype=np.int64),
-        loss=cols["loss"][:n],
-        grad_norm_sq=cols["grad_norm_sq"][:n],
-        lr=cols["lr"][:n],
-        eff_lr_min=cols["eff_lr_min"][:n],
-        eff_lr_max=cols["eff_lr_max"][:n],
-        vhat_min=cols["vhat_min"][:n],
-        vhat_max=cols["vhat_max"][:n],
-        diverged=diverged,
-        box_exit=box_exit,
-        dense=dense,
-        meta=meta,
-    )
-
-
-def repeat_runs(
-    spec: RunSpec, n_seeds: int, parallel: bool = False
-) -> list[Trace]:
-    """Run ``n_seeds`` replicas with seeds ``spec.seed + k``, in order.
-
-    The threaded path exists for callers whose problems release the GIL;
-    results are identical to the serial path either way.
-    """
-    if n_seeds < 1:
-        raise ValueError(f"need at least one seed, got {n_seeds}")
-    specs = [dataclasses.replace(spec, seed=spec.seed + k)
-             for k in range(n_seeds)]
-    if not parallel:
-        return [run(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=min(4, n_seeds)) as pool:
-        return list(pool.map(run, specs))
+    for j, r in enumerate(live):
+        x_final[r] = x[j]
+    traces = []
+    for r, seed in enumerate(seeds):
+        n = recorded[r]
+        trace_dense = None
+        if dense is not None:
+            trace_dense = {k: v[r, :n] for k, v in dense.items()}
+            trace_dense["x_final"] = x_final[r].copy()
+        meta = {
+            "problem": prob.name,
+            "optimizer": spec.optimizer,
+            "config": dict(_resolved_config(spec), seed=seed),
+            "seed": seed,
+            "diverged": diverged[r],
+            "wall_ms": wall_ms,
+        }
+        traces.append(Trace(
+            t=np.arange(1, n + 1, dtype=np.int64),
+            **{name: cols[name][r, :n] for name in _COLUMNS},
+            diverged=diverged[r],
+            box_exit=box_exit[r],
+            dense=trace_dense,
+            meta=meta,
+        ))
+    return traces
 
 
 def mean_channel(traces: list[Trace], name: str) -> np.ndarray:

@@ -4,6 +4,11 @@ Every optimizer is a pure function from ``(state, x, gradient, lr, ...)`` to
 ``(new_state, StepOutcome)``. States are never mutated; callers thread them
 through their own loop. All arithmetic is float64.
 
+``x``, the gradient and the state may also be ``(S, d)`` blocks of ``S``
+independent iterates. Every rule is elementwise, so row ``k`` of the result
+is bitwise what the rule gives on row ``k`` alone; the effective-lr extrema
+are then lists with one entry per row.
+
 The central rule is the partially adaptive step: the update divides momentum
 by ``(v_hat + eps)**p`` where ``v_hat`` is the running elementwise maximum of
 the second-moment average and ``p`` lies in ``[0, 1/2]``. The two endpoints
@@ -129,19 +134,30 @@ def _prepare(state: OptState, x: np.ndarray, g: np.ndarray, lr: float):
     return x, g
 
 
-def _lr_range(lr: float, denom: np.ndarray) -> tuple[float, float]:
-    dmin = float(denom.min())
-    dmax = float(denom.max())
-    lo = lr / dmax if dmax > 0.0 else math.inf
-    hi = lr / dmin if dmin > 0.0 else math.inf
-    return lo, hi
+def _lr_range(lr: float, denom: np.ndarray):
+    """``lr`` over the largest and the smallest denominator, ``inf`` where
+    that denominator is zero: floats for one iterate, lists of floats with
+    one entry per row for a ``(S, d)`` block."""
+    if denom.ndim == 1:
+        dmin = float(denom.min())
+        dmax = float(denom.max())
+        lo = lr / dmax if dmax > 0.0 else math.inf
+        hi = lr / dmin if dmin > 0.0 else math.inf
+        return lo, hi
+    return ([lr / d if d > 0.0 else math.inf
+             for d in denom.max(axis=-1).tolist()],
+            [lr / d if d > 0.0 else math.inf
+             for d in denom.min(axis=-1).tolist()])
 
 
 def _guarded_update(
     lr: float, m: np.ndarray, denom: np.ndarray, strict: bool
 ) -> np.ndarray:
     """``lr * m / denom``, zero where ``denom`` is zero; with ``strict``,
-    zero meeting nonzero ``m`` raises ``NumericError`` instead.
+    zero meeting nonzero ``m`` raises ``NumericError`` instead. Under
+    ``epsilon = 0`` that happens on a coordinate whose every gradient so
+    far is below roughly 1e-161 in magnitude (at ``b2 = 0.999``), not all
+    zero: ``(1-b2)*g*g`` underflows to zero while ``(1-b1)*g`` does not.
 
     No mask is held across the division, and callers keep ``base`` alive:
     at d = 1e5 either change alters malloc's heap enough to cost hundreds
@@ -170,8 +186,11 @@ def padam_step(
     Computes ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``, takes the
     elementwise maximum into ``v_hat`` and moves against
     ``lr * m / (v_hat + eps)**p``. Raises ``NumericError`` when a zero
-    denominator meets nonzero momentum, which cannot happen on states this
-    module produced.
+    denominator meets nonzero momentum. With ``eps > 0`` that cannot happen
+    on states this module produced; with ``eps = 0`` it happens when
+    ``(1-b2)*g*g`` underflows to zero, which needs ``|g|`` below roughly
+    1e-161 (at ``b2 = 0.999``) on a coordinate whose second moment is still
+    zero.
     """
     x, g = _prepare(state, x, g, lr)
     b1, b2 = cfg.beta1, cfg.beta2

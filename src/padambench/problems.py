@@ -324,25 +324,36 @@ def _mlp_unpack(theta: np.ndarray):
 
 
 def _mlp_eval(theta, feats, labels, want_grad):
+    # in place where the formula allows, so a full-batch gradient holds two
+    # (n, hidden) arrays at once rather than five; the two-class row max
+    # and row sum are written elementwise, which is the same arithmetic
     w1, b1, w2, b2 = _mlp_unpack(np.asarray(theta, dtype=np.float64))
-    z1 = feats @ w1 + b1
-    h = np.tanh(z1)
-    logits = h @ w2 + b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
+    h = feats @ w1
+    h += b1
+    np.tanh(h, out=h)
+    shifted = h @ w2
+    shifted += b2
+    l0, l1 = shifted[:, 0], shifted[:, 1]
+    shifted -= np.maximum(l0, l1)[:, None]
+    e = np.exp(shifted)
+    log_z = e[:, 0] + e[:, 1]
+    np.log(log_z, out=log_z)
+    log_p = shifted
+    log_p -= log_z[:, None]
     n = feats.shape[0]
     rows = np.arange(n)
     value = -float(log_p[rows, labels].mean())
     if not want_grad:
         return value, None
-    delta = np.exp(log_p)
+    delta = np.exp(log_p, out=e)
     delta[rows, labels] -= 1.0
     delta /= n
     g_w2 = h.T @ delta
     g_b2 = delta.sum(axis=0)
-    dh = delta @ w2.T
-    dz1 = dh * (1.0 - h * h)
+    dz1 = delta @ w2.T
+    np.multiply(h, h, out=h)
+    np.subtract(1.0, h, out=h)
+    dz1 *= h
     g_w1 = feats.T @ dz1
     g_b1 = dz1.sum(axis=0)
     return value, np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])

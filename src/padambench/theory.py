@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import RunSpec, Schedule, Trace, run, select_output
+from .harness import RunSpec, Schedule, Trace, iter_runs, select_output
 from .optim import REGISTRY, PadamConfig
 from .problems import StochasticProblem
 
@@ -525,7 +525,7 @@ def verify_bound(
         )
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    spec_base = RunSpec(
+    spec = RunSpec(
         problem=problem,
         optimizer="padam",
         opt_params=dataclasses.asdict(cfg),
@@ -542,9 +542,7 @@ def verify_bound(
     lhs_parts: list[float] = []
     fitted = 0.0
     agg: dict[str, CheckResult] = {}
-    for k in range(n_seeds):
-        spec = dataclasses.replace(spec_base, seed=seed + 1 + k)
-        trace = run(spec)
+    for k, trace in enumerate(iter_runs(spec, n_seeds)):
         if trace.diverged:
             applicable = False
             notes.append(f"replica {k} diverged")

@@ -103,6 +103,70 @@ def test_padam_zero_denominator_with_signal_raises():
         padam_step(bad, np.zeros(2), np.zeros(2), 0.1, cfg)
 
 
+@pytest.mark.parametrize("rule", ["padam", "amsgrad"])
+def test_epsilon_zero_underflowing_gradient_raises(rule):
+    # (1 - 0.999) * (1e-163)**2 underflows to 0, so v_hat stays 0 while the
+    # momentum 0.1 * 1e-163 does not: a state this module produced raises
+    cfg = PadamConfig(epsilon=0.0)
+
+    def step(g):
+        if rule == "padam":
+            return padam_step(init_state(2), np.ones(2), np.array(g), 0.1, cfg)
+        return amsgrad_step(init_state(2), np.ones(2), np.array(g), 0.1,
+                            cfg.beta1, cfg.beta2, 0.0)
+
+    with pytest.raises(NumericError, match="coordinate 0"):
+        step([1e-163, 1.0])
+    # at 1e-160 the product is subnormal, not zero, and the step goes on
+    st, out = step([1e-160, 1.0])
+    assert st.v_hat[0] > 0.0 and np.all(np.isfinite(out.new_x))
+
+
+BLOCK_RULES = {
+    "padam": lambda s, x, g, lr: padam_step(s, x, g, lr,
+                                            PadamConfig(p=0.3, epsilon=0.0)),
+    "padam_p0": lambda s, x, g, lr: padam_step(s, x, g, lr,
+                                               PadamConfig(p=0.0)),
+    "amsgrad": lambda s, x, g, lr: amsgrad_step(s, x, g, lr, 0.9, 0.999, 0.0),
+    "adam": lambda s, x, g, lr: adam_step(s, x, g, lr, 0.9, 0.999, 0.0),
+    "adamw": lambda s, x, g, lr: adamw_step(s, x, g, lr, 0.9, 0.999, 1e-8,
+                                            0.05),
+    "sgdm": lambda s, x, g, lr: sgd_momentum_step(s, x, g, lr, 0.9),
+    "adagrad": lambda s, x, g, lr: adagrad_step(s, x, g, lr, 0.0),
+}
+
+
+@pytest.mark.parametrize("lr", [0.0, 0.05])
+@pytest.mark.parametrize("rule", sorted(BLOCK_RULES))
+def test_block_step_equals_row_steps(rule, lr):
+    # a (S, d) block is S independent iterates: every row of the result,
+    # the effective-lr extrema included, is bitwise the row stepped alone;
+    # row 1 keeps a dead coordinate (zero gradient under epsilon = 0)
+    step = BLOCK_RULES[rule]
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((3, 4))
+    block = OptState(m=np.zeros((3, 4)), v=np.zeros((3, 4)),
+                     v_hat=np.zeros((3, 4)))
+    rows = [init_state(4) for _ in range(3)]
+    for _ in range(4):
+        g = rng.standard_normal((3, 4))
+        g[1, 2] = 0.0
+        block, out = step(block, x, g, lr)
+        lo = np.broadcast_to(out.effective_lr_min, (3,))
+        hi = np.broadcast_to(out.effective_lr_max, (3,))
+        for j in range(3):
+            rows[j], row_out = step(rows[j], x[j], g[j], lr)
+            assert isinstance(row_out.effective_lr_min, float)
+            assert isinstance(row_out.effective_lr_max, float)
+            assert lo[j] == row_out.effective_lr_min
+            assert hi[j] == row_out.effective_lr_max
+            assert out.new_x[j].tobytes() == row_out.new_x.tobytes()
+            for name in ("m", "v", "v_hat"):
+                assert getattr(block, name)[j].tobytes() \
+                    == getattr(rows[j], name).tobytes()
+        x = out.new_x
+
+
 def test_padam_dimension_mismatch():
     cfg = PadamConfig()
     with pytest.raises(DimensionError):

@@ -264,6 +264,51 @@ def test_mlp_stochastic_batches_have_declared_size():
     assert xi.min() >= 0 and xi.max() < prob.meta["n_samples"]
 
 
+def _frozen_mlp_eval(theta, feats, labels, want_grad):
+    """The MLP kernel as first written, one temporary per operation; the
+    in-place kernel must reproduce it bit for bit."""
+    i, j = 160, 176
+    w1, b1 = theta[:i].reshape(10, 16), theta[i:j]
+    w2, b2 = theta[j:j + 32].reshape(16, 2), theta[j + 32:]
+    z1 = feats @ w1 + b1
+    h = np.tanh(z1)
+    logits = h @ w2 + b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_p = shifted - log_z
+    n = feats.shape[0]
+    rows = np.arange(n)
+    value = -float(log_p[rows, labels].mean())
+    if not want_grad:
+        return value, None
+    delta = np.exp(log_p)
+    delta[rows, labels] -= 1.0
+    delta /= n
+    g_w2 = h.T @ delta
+    g_b2 = delta.sum(axis=0)
+    dh = delta @ w2.T
+    dz1 = dh * (1.0 - h * h)
+    g_w1 = feats.T @ dz1
+    g_b1 = dz1.sum(axis=0)
+    return value, np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 50.0])
+def test_mlp_kernel_matches_frozen_formula(scale):
+    prob = make_mlp(task_seed=7)
+    feats, labels = prob.meta["features"], prob.meta["labels"]
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        x = scale * rng.standard_normal(prob.dim)
+        xi = prob.sample_xi(rng, 1)
+        want_f, want_g = _frozen_mlp_eval(x, feats, labels, True)
+        assert prob.loss(x) == want_f
+        assert prob.exact_grad(x).tobytes() == want_g.tobytes()
+        want_f, want_g = _frozen_mlp_eval(x, feats[xi], labels[xi], True)
+        assert prob.stoch_loss(x, xi) == want_f
+        assert prob.stoch_grad(x, xi).tobytes() == want_g.tobytes()
+
+
 def test_mlp_label_noise_fraction():
     prob = make_mlp(task_seed=99)
     flipped = prob.meta["flipped_fraction"]

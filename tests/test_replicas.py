@@ -1,0 +1,163 @@
+"""Replicas run together must equal replicas run alone, bitwise.
+
+``repeat_runs(spec, n)[k]`` is compared with ``run`` on seed
+``spec.seed + k`` for every optimizer on every problem, and on blocks in
+which some replicas stop early while the others run on. Eighteen seeds
+cross a block boundary.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from padambench.harness import (
+    CSV_HEADER,
+    OPTIMIZERS,
+    RunSpec,
+    Schedule,
+    repeat_runs,
+    run,
+)
+from padambench.optim import REGISTRY
+from padambench.problems import (
+    StochasticProblem,
+    make_logistic,
+    make_mlp,
+    make_quadratic,
+    make_rosenbrock,
+    make_sparse_growth,
+)
+
+N_SEEDS = 18
+_COLUMNS = CSV_HEADER.split(",")
+
+PROBLEMS = {
+    "quadratic": lambda: make_quadratic(4, condition_number=8.0, noise=0.1),
+    "rosenbrock": lambda: make_rosenbrock(3),
+    "logistic": lambda: make_logistic(4, 40, seed=1),
+    "sparse-growth": lambda: make_sparse_growth(5, sparsity=0.5, seed=0,
+                                                rho=0.2),
+    "mlp": lambda: make_mlp(0),
+}
+
+
+def assert_same_trace(a, b):
+    for name in _COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.diverged is b.diverged
+    assert a.box_exit == b.box_exit
+    assert a.meta["seed"] == b.meta["seed"]
+    assert a.meta["config"] == b.meta["config"]
+    assert (a.dense is None) == (b.dense is None)
+    if a.dense is not None:
+        assert sorted(a.dense) == ["g", "m", "vhat", "x", "x_final"]
+        assert sorted(b.dense) == sorted(a.dense)
+        for name, arr in a.dense.items():
+            other = b.dense[name]
+            assert arr.shape == other.shape, name
+            assert arr.tobytes() == other.tobytes(), name
+
+
+def assert_batched_equals_serial(spec, n_seeds=N_SEEDS):
+    batched = repeat_runs(spec, n_seeds)
+    assert len(batched) == n_seeds
+    for k, trace in enumerate(batched):
+        alone = run(dataclasses.replace(spec, seed=spec.seed + k))
+        assert_same_trace(trace, alone)
+    return batched
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_batched_replicas_equal_serial_runs(optimizer, problem):
+    spec = RunSpec(problem=PROBLEMS[problem](), optimizer=optimizer,
+                   opt_params={},
+                   schedule=Schedule("inv_sqrt",
+                                     REGISTRY[optimizer].compare_lr),
+                   steps=25, seed=5, record_dense=True)
+    assert_batched_equals_serial(spec)
+
+
+def test_mixed_block_some_replicas_diverge():
+    # heavy-ball SGD past its stability limit: most noise streams overflow
+    # after 347-349 recorded steps, seed 3 lasts the whole horizon
+    spec = RunSpec(problem=make_quadratic(5), optimizer="sgdm",
+                   opt_params={}, schedule=Schedule("constant", 0.5),
+                   steps=350, seed=0, record_dense=True)
+    traces = assert_batched_equals_serial(spec)
+    lengths = {len(tr.t) for tr in traces}
+    assert any(tr.diverged for tr in traces)
+    assert not all(tr.diverged for tr in traces)
+    assert len(lengths) > 2
+
+
+def _tiny_gradient_problem() -> StochasticProblem:
+    """Coordinate 0's stochastic gradient is 0, except on rare draws where
+    it is 1e-163: under epsilon = 0 its second moment underflows to 0
+    while its momentum does not, so the step raises ``NumericError``."""
+
+    def sample_xi(rng, t):
+        tiny = 1e-163 if rng.random() < 0.04 else 0.0
+        return np.array([tiny, rng.standard_normal()])
+
+    def stoch_grad(x, xi):
+        return np.array([xi[0], x[1] + xi[1]])
+
+    return StochasticProblem(
+        name="tiny-gradient", dim=2,
+        loss=lambda x: 0.5 * float(x @ x),
+        exact_grad=lambda x: np.array(x, dtype=np.float64),
+        stoch_loss=lambda x, xi: 0.5 * float(x @ x),
+        stoch_grad=stoch_grad,
+        sample_xi=sample_xi,
+    )
+
+
+def test_mixed_block_numeric_error_on_some_replicas():
+    spec = RunSpec(problem=_tiny_gradient_problem(), optimizer="padam",
+                   opt_params={"epsilon": 0.0},
+                   schedule=Schedule("constant", 0.05),
+                   steps=60, seed=0, record_dense=True)
+    traces = assert_batched_equals_serial(spec)
+    stopped = [len(tr.t) for tr in traces if tr.diverged]
+    assert len(set(stopped)) > 1  # raised at different steps
+    assert not all(tr.diverged for tr in traces)
+
+
+def _cliff_problem() -> StochasticProblem:
+    """A quadratic whose loss is infinite past ``x[0] = 0.05``, with a
+    stochastic gradient that drifts ``x[0]`` towards it: replicas stop at
+    the loss check where their start or their path crosses it, some
+    before their first step."""
+
+    def loss(x):
+        return 0.5 * float(x @ x) if x[0] < 0.05 else math.inf
+
+    def sample_xi(rng, t):
+        return 0.05 * rng.standard_normal(3)
+
+    return StochasticProblem(
+        name="cliff", dim=3, loss=loss,
+        exact_grad=lambda x: np.array(x, dtype=np.float64),
+        stoch_loss=lambda x, xi: loss(x),
+        stoch_grad=lambda x, xi: x + xi - np.array([0.2, 0.0, 0.0]),
+        sample_xi=sample_xi,
+    )
+
+
+@pytest.mark.parametrize("optimizer, lr", [("padam", 0.01), ("sgdm", 0.002)])
+def test_mixed_block_loss_check_before_first_step(optimizer, lr):
+    spec = RunSpec(problem=_cliff_problem(), optimizer=optimizer,
+                   opt_params={}, schedule=Schedule("constant", lr),
+                   steps=40, seed=0, record_dense=True)
+    traces = assert_batched_equals_serial(spec)
+    lengths = [len(tr.t) for tr in traces if tr.diverged]
+    assert 0 in lengths and len(set(lengths)) > 1
+    assert not all(tr.diverged for tr in traces)
+    never = next(tr for tr in traces if len(tr.t) == 0)
+    assert never.dense["x"].shape == (0, 3)
+    assert never.dense["x_final"][0] >= 0.05
