@@ -2,123 +2,13 @@
 a deterministic run harness, and executable checks of the convergence
 guarantee behind the method."""
 
-from .harness import (
-    CSV_HEADER,
-    OPTIMIZERS,
-    RunSpec,
-    Schedule,
-    Trace,
-    TraceFormatError,
-    mean_channel,
-    read_trace_csv,
-    repeat_runs,
-    run,
-    schedule_lr,
-    select_output,
-    select_output_indices,
-    write_trace_csv,
-)
-from .optim import (
-    DimensionError,
-    NumericError,
-    OptState,
-    PadamConfig,
-    StepOutcome,
-    adagrad_step,
-    adam_step,
-    adamw_step,
-    amsgrad_step,
-    effective_lr_bounds,
-    init_state,
-    padam_step,
-    sgd_momentum_step,
-)
-from .problems import (
-    StochasticProblem,
-    finite_diff_grad,
-    make_logistic,
-    make_mlp,
-    make_quadratic,
-    make_rosenbrock,
-    make_sparse_growth,
-)
-from .theory import (
-    BoundConstants,
-    BoundInputs,
-    CheckResult,
-    GrowthEstimate,
-    HypothesisError,
-    TheoryReport,
-    bound_constants,
-    bound_q0,
-    bound_value,
-    check_moment_bounds,
-    check_smoothness_gap,
-    check_update_energy,
-    check_z_identity,
-    check_z_step_bound,
-    estimate_growth_s,
-    optimal_alpha,
-    report_to_dict,
-    run_trajectory_checks,
-    verify_bound,
-)
+from . import harness, optim, problems, theory
+from .harness import *  # noqa: F401,F403
+from .optim import *  # noqa: F401,F403
+from .problems import *  # noqa: F401,F403
+from .theory import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CSV_HEADER",
-    "OPTIMIZERS",
-    "BoundConstants",
-    "BoundInputs",
-    "CheckResult",
-    "DimensionError",
-    "GrowthEstimate",
-    "HypothesisError",
-    "NumericError",
-    "OptState",
-    "PadamConfig",
-    "RunSpec",
-    "Schedule",
-    "StepOutcome",
-    "StochasticProblem",
-    "TheoryReport",
-    "Trace",
-    "TraceFormatError",
-    "adagrad_step",
-    "adam_step",
-    "adamw_step",
-    "amsgrad_step",
-    "bound_constants",
-    "bound_q0",
-    "bound_value",
-    "check_moment_bounds",
-    "check_smoothness_gap",
-    "check_update_energy",
-    "check_z_identity",
-    "check_z_step_bound",
-    "effective_lr_bounds",
-    "estimate_growth_s",
-    "finite_diff_grad",
-    "init_state",
-    "make_logistic",
-    "make_mlp",
-    "make_quadratic",
-    "make_rosenbrock",
-    "make_sparse_growth",
-    "mean_channel",
-    "optimal_alpha",
-    "padam_step",
-    "read_trace_csv",
-    "repeat_runs",
-    "report_to_dict",
-    "run",
-    "run_trajectory_checks",
-    "schedule_lr",
-    "select_output",
-    "select_output_indices",
-    "sgd_momentum_step",
-    "verify_bound",
-    "write_trace_csv",
-    "__version__",
-]
+__all__ = [*harness.__all__, *optim.__all__, *problems.__all__,
+           *theory.__all__, "__version__"]

@@ -31,6 +31,7 @@ from .harness import (
     _SCHEDULE_KINDS,
     _atomic_write,
     _sidecar_path,
+    _write_table,
     iter_runs,
     mean_channel,
     repeat_runs,
@@ -333,16 +334,6 @@ def _outdir(args) -> Path:
     path = Path(args.outdir)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _write_table(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            format(v, ".17g") if isinstance(v, float) else str(v)
-            for v in row
-        ))
-    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _write_meta(table_path: Path, payload: dict) -> None:

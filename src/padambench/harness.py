@@ -207,15 +207,12 @@ def repeat_runs(spec: RunSpec, n_seeds: int) -> list[Trace]:
     return list(iter_runs(spec, n_seeds))
 
 
-def _take(state: OptState, keep) -> OptState:
-    return OptState(m=state.m[keep], v=state.v[keep],
-                    v_hat=state.v_hat[keep], t=state.t)
-
-
 def _raises(stepper, state: OptState, x, g, lr: float, j: int) -> bool:
     """Whether the step raises ``NumericError`` on block row ``j`` alone."""
+    row = OptState(m=state.m[j], v=state.v[j], v_hat=state.v_hat[j],
+                   t=state.t)
     try:
-        stepper(_take(state, j), x[j], g[j], lr)
+        stepper(row, x[j], g[j], lr)
     except NumericError:
         return True
     return False
@@ -223,13 +220,16 @@ def _raises(stepper, state: OptState, x, g, lr: float, j: int) -> bool:
 
 def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
     """Run ``spec`` once per seed, advancing the replicas together as
-    ``(S, d)`` arrays.
+    ``(S, d)`` arrays; block row ``j`` is seed ``seeds[j]`` throughout.
 
     The step rule runs once per step on the whole block and the problem's
-    oracles once per row, so every row follows its lone run bit for bit. A
-    row stops at the check and the step where its lone run would stop
-    (nonfinite loss or gradient norm, nonfinite stochastic gradient,
-    ``NumericError``, nonfinite new iterate); the other rows carry on.
+    oracles once per running row, so every row follows its lone run bit for
+    bit. A row stops at the check and the step where its lone run would
+    stop (nonfinite loss or gradient norm, nonfinite stochastic gradient,
+    ``NumericError``, nonfinite new iterate); the other rows carry on. A
+    stopped row is zeroed in ``x``, ``g`` and the state, which every step
+    rule steps to zero without raising, and its trace is cut at its last
+    recorded row.
     """
     prob = spec.problem
     entry = REGISTRY[spec.optimizer]
@@ -253,27 +253,22 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
     zeros = np.zeros((S, d))
     state = OptState(m=zeros, v=zeros.copy(), v_hat=zeros.copy())
     g_block = np.empty((S, d))
-    # per replica; a running replica sits at block row live.index(replica)
     recorded = [steps] * S
     diverged = [False] * S
     box_exit: list[int | None] = [None] * S
     x_final: list[np.ndarray | None] = [None] * S
-    live = list(range(S))
-    rows: slice | np.ndarray = slice(None)  # the live replicas
+    running = list(range(S))
 
-    def retire(stop, n, state, *arrays):
-        """Stop block rows ``stop`` with ``n`` rows recorded; returns
-        ``state`` and ``arrays`` cut to the rows that carry on."""
-        nonlocal rows
-        keep = np.ones(len(live), dtype=bool)
-        keep[stop] = False
+    def halt(stop, n, x_next):
+        """Stop rows ``stop`` at the current iterate with ``n`` rows
+        recorded; zero them in ``x_next``, ``g`` and the state."""
         for j in stop:
-            recorded[live[j]] = n
-            diverged[live[j]] = True
-            x_final[live[j]] = x[j]
-        live[:] = [r for r, k in zip(live, keep) if k]
-        rows = np.array(live, dtype=np.intp)
-        return (_take(state, keep), *(a[keep] for a in arrays))
+            recorded[j], diverged[j] = n, True
+            x_final[j] = x[j].copy()
+        running[:] = [j for j in running if j not in stop]
+        if running:  # a lone run's g is the array the oracle returned
+            for a in (x_next, g_block, state.m, state.v, state.v_hat):
+                a[stop] = 0.0
 
     loss, exact_grad = prob.loss, prob.exact_grad
     stoch_grad, sample_xi = prob.stoch_grad, prob.sample_xi
@@ -281,25 +276,24 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
     started = time.perf_counter()
     for t in range(1, steps + 1):
         i = t - 1
-        xs = list(x)
         stop = []
         # overflow on a blown-up iterate is the divergence signal, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, xj in enumerate(xs):
-                loss_col[live[j], i] = fval = loss(xj)
-                g_exact = exact_grad(xj)
-                gns_col[live[j], i] = gns = float(g_exact @ g_exact)
+            for j in running:
+                loss_col[j, i] = fval = loss(x[j])
+                g_exact = exact_grad(x[j])
+                gns_col[j, i] = gns = float(g_exact @ g_exact)
                 if not (math.isfinite(fval) and math.isfinite(gns)):
                     stop.append(j)
         if None in box_exit and np.abs(x).max() > prob.box:
             for j in np.flatnonzero(np.abs(x).max(axis=1) > prob.box):
-                if box_exit[live[j]] is None and j not in stop:
-                    box_exit[live[j]] = t
+                if box_exit[j] is None and j not in stop:
+                    box_exit[j] = t
         lr_t = schedule_lr(spec.schedule, t)
-        for j, xj in enumerate(xs):
+        for j in running:
             if stop and j in stop:
                 continue
-            g = stoch_grad(xj, sample_xi(rngs[live[j]], t))
+            g = stoch_grad(x[j], sample_xi(rngs[j], t))
             if S > 1:
                 g_block[j] = g
             else:  # a view: a lone run adds no full-size copy per step
@@ -308,43 +302,42 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
             bad = np.flatnonzero(~np.isfinite(g_block).all(axis=1))
             stop += [j for j in bad if j not in stop]
         if stop:
-            state, x, g_block = retire(stop, t - 1, state, x, g_block)
-            if not live:
+            halt(stop, t - 1, x)
+            if not running:
                 break
         try:
             state, out = stepper(state, x, g_block, lr_t)
         except NumericError:
-            # rare: retire the rows that raise on their own, step the rest
-            stop = [j for j in range(len(live))
+            # rare: stop the rows that raise on their own, step the rest
+            stop = [j for j in running
                     if _raises(stepper, state, x, g_block, lr_t, j)]
             if not stop:
                 raise
-            state, x, g_block = retire(stop, t - 1, state, x, g_block)
-            if not live:
+            halt(stop, t - 1, x)
+            if not running:
                 break
             state, out = stepper(state, x, g_block, lr_t)
         vhat = getattr(state, entry.vhat_field)
-        cols["lr"][rows, i] = lr_t
-        cols["eff_lr_min"][rows, i] = out.effective_lr_min
-        cols["eff_lr_max"][rows, i] = out.effective_lr_max
-        cols["vhat_min"][rows, i] = vhat.min(axis=1)
-        cols["vhat_max"][rows, i] = vhat.max(axis=1)
+        cols["lr"][:, i] = lr_t
+        cols["eff_lr_min"][:, i] = out.effective_lr_min
+        cols["eff_lr_max"][:, i] = out.effective_lr_max
+        cols["vhat_min"][:, i] = vhat.min(axis=1)
+        cols["vhat_max"][:, i] = vhat.max(axis=1)
         if dense is not None:
-            dense["x"][rows, i] = x
-            dense["g"][rows, i] = g_block
-            dense["m"][rows, i] = state.m
-            dense["vhat"][rows, i] = vhat
-        new_x = out.new_x
-        if not np.isfinite(new_x).all():
-            bad = np.flatnonzero(~np.isfinite(new_x).all(axis=1))
-            state, new_x, g_block = retire(bad, t, state, new_x, g_block)
-            if not live:
+            dense["x"][:, i] = x
+            dense["g"][:, i] = g_block
+            dense["m"][:, i] = state.m
+            dense["vhat"][:, i] = vhat
+        if not np.isfinite(out.new_x).all():
+            halt(np.flatnonzero(~np.isfinite(out.new_x).all(axis=1)), t,
+                 out.new_x)
+            if not running:
                 break
-        x = new_x
+        x = out.new_x
     wall_ms = 1000.0 * (time.perf_counter() - started)
 
-    for j, r in enumerate(live):
-        x_final[r] = x[j]
+    for j in running:
+        x_final[j] = x[j]
     traces = []
     for r, seed in enumerate(seeds):
         n = recorded[r]
@@ -372,14 +365,23 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
 
 
 def mean_channel(traces: list[Trace], name: str) -> np.ndarray:
-    """Per-step mean of one trace column, compensated summation."""
+    """Per-step mean of one trace column, compensated summation. At a
+    step where that sum of finite values overflows, the mean is the exact
+    mean rounded once, which is finite (summing ``v / n`` can still
+    overflow when every value is near the float maximum)."""
     if not traces:
         raise ValueError("no traces given")
     length = min(len(tr.t) for tr in traces)
     cols = [getattr(tr, name) for tr in traces]
+    n = len(cols)
     out = np.empty(length)
     for i in range(length):
-        out[i] = math.fsum(c[i] for c in cols) / len(cols)
+        try:
+            out[i] = math.fsum(c[i] for c in cols) / n
+        except OverflowError:
+            # imported here: fractions loads decimal, about 0.4 MiB of RSS
+            from fractions import Fraction
+            out[i] = float(sum(Fraction(c[i]) for c in cols) / n)
     return out
 
 
@@ -397,36 +399,30 @@ def _selection_cdf(trace: Trace, schedule: Schedule | None) -> np.ndarray:
     return cdf
 
 
-def select_output(
-    trace: Trace, schedule: Schedule | None, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Draw the returned iterate: step ``t`` in ``2..T`` is chosen with
-    probability proportional to the lr at ``t - 1``.
-
-    Requires dense recording, since the iterate itself is returned.
-    """
-    if trace.dense is None or "x" not in trace.dense:
-        raise ValueError("select_output needs a trace with dense recording")
-    cdf = _selection_cdf(trace, schedule)
-    k = int(np.searchsorted(cdf, rng.random(), side="right"))
-    t_out = k + 2
-    return t_out, trace.dense["x"][t_out - 1].copy()
-
-
 def select_output_indices(
     trace: Trace,
     schedule: Schedule | None,
     rng: np.random.Generator,
     n_draws: int,
 ) -> np.ndarray:
-    """Vectorized batch of output-step draws (same law as ``select_output``)."""
+    """Draw ``n_draws`` output steps: step ``t`` in ``2..T`` is chosen with
+    probability proportional to the lr at ``t - 1``."""
     cdf = _selection_cdf(trace, schedule)
     draws = rng.random(n_draws)
     return np.searchsorted(cdf, draws, side="right").astype(np.int64) + 2
 
 
-def _float_field(v: float) -> str:
-    return format(float(v), ".17g")
+def select_output(
+    trace: Trace, schedule: Schedule | None, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
+    """Draw the returned iterate by the rule of ``select_output_indices``.
+
+    Requires dense recording, since the iterate itself is returned.
+    """
+    if trace.dense is None or "x" not in trace.dense:
+        raise ValueError("select_output needs a trace with dense recording")
+    t_out = int(select_output_indices(trace, schedule, rng, 1)[0])
+    return t_out, trace.dense["x"][t_out - 1].copy()
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -444,6 +440,17 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _write_table(path: Path, header, rows) -> None:
+    """CSV with floats at 17 significant digits, written atomically."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            format(v, ".17g") if isinstance(v, float) else str(v)
+            for v in row
+        ))
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
@@ -455,12 +462,9 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
     never observe a torn trace.
     """
     path = Path(path)
-    lines = [CSV_HEADER]
-    for i in range(len(trace.t)):
-        lines.append(",".join([str(int(trace.t[i]))] + [
-            _float_field(getattr(trace, name)[i]) for name in _COLUMNS
-        ]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(path, ("t", *_COLUMNS), zip(
+        trace.t.tolist(),
+        *(getattr(trace, name).tolist() for name in _COLUMNS)))
 
     sidecar = dict(trace.meta)
     sidecar["diverged"] = trace.diverged

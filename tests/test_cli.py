@@ -115,6 +115,22 @@ def test_run_divergence_exit_code(tmp_path, capsys):
     assert sidecar["diverged"] is True
 
 
+def test_run_seeds_overflowing_mean_exits_2(tmp_path, capsys):
+    # 17 of the 18 replicas end with finite losses near 1e308, whose sum
+    # overflows: the summary still holds a finite mean at every step
+    rc = main([
+        "run", "--problem", "quadratic", "--dim", "5", "--steps", "350",
+        "--seeds", "18", "--lr", "0.5", "--optimizer", "sgdm",
+        "--outdir", str(tmp_path),
+    ])
+    assert rc == 2
+    rows = read_rows(tmp_path / "summary.csv")
+    assert len(rows) >= 347
+    values = [float(v) for row in rows for v in row.values()]
+    assert all(np.isfinite(values))
+    assert max(values) > 1e305
+
+
 def test_run_invalid_value_is_config_error(tmp_path, capsys):
     rc = main(["run", "--problem", "quadratic", "--p", "0.7",
                "--outdir", str(tmp_path)])

@@ -128,6 +128,57 @@ def test_mixed_block_numeric_error_on_some_replicas():
     assert not all(tr.diverged for tr in traces)
 
 
+def _nan_gradient_problem() -> StochasticProblem:
+    """A quadratic whose stochastic gradient is NaN on a coordinate with
+    probability 0.01 per step: a replica stops at the first such draw."""
+
+    def sample_xi(rng, t):
+        xi = 0.1 * rng.standard_normal(2)
+        xi[rng.random(2) < 0.01] = math.nan
+        return xi
+
+    return StochasticProblem(
+        name="nan-gradient", dim=2,
+        loss=lambda x: 0.5 * float(x @ x),
+        exact_grad=lambda x: np.array(x, dtype=np.float64),
+        stoch_loss=lambda x, xi: 0.5 * float(x @ x),
+        stoch_grad=lambda x, xi: x + xi,
+        sample_xi=sample_xi,
+    )
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_mixed_block_nonfinite_stochastic_gradient(optimizer):
+    spec = RunSpec(problem=_nan_gradient_problem(), optimizer=optimizer,
+                   opt_params={},
+                   schedule=Schedule("constant",
+                                     REGISTRY[optimizer].compare_lr),
+                   steps=80, seed=0, record_dense=True)
+    traces = assert_batched_equals_serial(spec)
+    stopped = [len(tr.t) for tr in traces if tr.diverged]
+    assert len(set(stopped)) > 1
+    assert not all(tr.diverged for tr in traces)
+
+
+def test_lone_run_leaves_the_oracle_gradient_alone():
+    # the stochastic gradient is the draw itself, which the test keeps: a
+    # lone run steps on it in place of a copy and must not zero it on stop
+    draws = []
+    base = _nan_gradient_problem()
+
+    def sample_xi(rng, t):
+        draws.append(base.sample_xi(rng, t))
+        return draws[-1]
+
+    problem = dataclasses.replace(base, sample_xi=sample_xi,
+                                  stoch_grad=lambda x, xi: xi)
+    trace = run(RunSpec(problem=problem, optimizer="padam", opt_params={},
+                        schedule=Schedule("constant", 0.1), steps=80,
+                        seed=0))
+    assert trace.diverged and len(trace.t) == len(draws) - 1
+    assert np.isnan(draws[-1]).any()
+
+
 def _cliff_problem() -> StochasticProblem:
     """A quadratic whose loss is infinite past ``x[0] = 0.05``, with a
     stochastic gradient that drifts ``x[0]`` towards it: replicas stop at

@@ -1,0 +1,157 @@
+"""Compare the CLI of two padambench source trees byte for byte.
+
+Usage::
+
+    python tools/cli_identity.py <parent-src> <change-src>
+
+Each ``*-src`` is a directory holding the ``padambench`` package (a
+checkout's ``src``). Every command of ``COMMANDS`` runs once under each
+tree, as ``python -m padambench.cli`` with that tree on ``PYTHONPATH``,
+in its own empty directory. The files written, stdout and the exit code
+are compared; in JSON files every ``wall_ms`` value is zeroed first,
+since it is a wall-clock time. Stderr is not compared: a traceback names
+its tree's paths. Exits 0 when nothing differs, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_OPTIMIZERS = ("padam", "adam", "amsgrad", "adamw", "sgdm", "adagrad")
+
+# name -> (argv, files written into the directory before the run)
+COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
+    **{f"run-{opt}": (["run", "--problem", "quadratic", "--optimizer", opt,
+                       "--steps", "80", "--seed", "2"], {})
+       for opt in _OPTIMIZERS},
+    "run-seeds17": (["run", "--problem", "quadratic", "--steps", "60",
+                     "--seeds", "17"], {}),
+    "run-seeds18": (["run", "--problem", "logistic", "--optimizer",
+                     "adagrad", "--steps", "40", "--seeds", "18"], {}),
+    "run-mlp-seeds17": (["run", "--problem", "mlp", "--steps", "20",
+                         "--seeds", "17"], {}),
+    "run-multistage": (["run", "--problem", "rosenbrock", "--schedule",
+                        "multistage", "--milestones", "20,40", "--init-seed",
+                        "3", "--lr", "0.01", "--steps", "60", "--seeds", "3"],
+                       {}),
+    "run-preset": (["run", "--problem", "quadratic", "--preset", "lstm",
+                    "--steps", "30"], {}),
+    "run-diverging": (["run", "--problem", "rosenbrock", "--optimizer",
+                       "sgdm", "--lr", "0.5", "--steps", "100"], {}),
+    # finite losses near 1e308 whose sum over the seeds overflows
+    "run-mean-overflow": (["run", "--problem", "quadratic", "--dim", "5",
+                           "--steps", "350", "--seeds", "18", "--lr", "0.5",
+                           "--optimizer", "sgdm"], {}),
+    "run-config-error": (["run", "--problem", "quadratic", "--p", "0.7"],
+                         {}),
+    "sweep-p-quadratic": (["sweep-p", "--problem", "quadratic", "--steps",
+                           "40", "--seeds", "2"], {}),
+    "sweep-p-sparse-eps0": (["sweep-p", "--problem", "sparse-growth",
+                             "--steps", "50", "--seeds", "3", "--epsilon",
+                             "0"], {}),
+    "compare-quadratic": (["compare", "--problem", "quadratic", "--steps",
+                           "60", "--seeds", "4"], {}),
+    "compare-mlp": (["compare", "--problem", "mlp", "--steps", "30",
+                     "--seeds", "3"], {}),
+    **{f"verify-{suite}": (["verify", "--suite", suite, "--steps", "150",
+                            "--seeds", "4", "--seed", "3"], {})
+       for suite in ("reductions", "gradients", "trajectory", "bound",
+                     "all")},
+    "config-run": (["run", "--config", "cfg.json"],
+                   {"cfg.json": {"problem": "quadratic",
+                                 "optimizer": "amsgrad", "dim": 4,
+                                 "steps": 30, "lr": 0.02, "seeds": 3}}),
+    "config-compare": (["compare", "--config", "cfg.json", "--steps", "20"],
+                       {"cfg.json": {"problem": "logistic", "seeds": 2,
+                                     "optimizers": ["padam", "sgdm"]}}),
+    "config-sweep-p": (["sweep-p", "--config", "cfg.json"],
+                       {"cfg.json": {"problem": "rosenbrock", "steps": 25,
+                                     "seeds": 2, "lr": 0.01,
+                                     "p-list": [0.1, 0.25]}}),
+    **{f"help-{name or 'main'}": ([name, "--help"] if name else ["--help"],
+                                  {})
+       for name in ("", "run", "sweep-p", "compare", "verify")},
+}
+
+
+def _zero_wall_ms(value):
+    if isinstance(value, dict):
+        return {k: 0 if k == "wall_ms" else _zero_wall_ms(v)
+                for k, v in value.items()}
+    if isinstance(value, list):
+        return [_zero_wall_ms(v) for v in value]
+    return value
+
+
+def _outputs(directory: Path) -> dict[str, bytes]:
+    out = {}
+    for path in sorted(directory.rglob("*")):
+        if not path.is_file():
+            continue
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            data = json.dumps(_zero_wall_ms(json.loads(data)), indent=2,
+                              sort_keys=True).encode()
+        out[str(path.relative_to(directory))] = data
+    return out
+
+
+def _run(src: Path, name: str, workdir: Path):
+    argv, files = COMMANDS[name]
+    directory = workdir / name
+    directory.mkdir(parents=True)
+    for fname, body in files.items():
+        (directory / fname).write_text(json.dumps(body))
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "padambench.cli", *argv],
+                          cwd=directory, env=env, capture_output=True)
+    return proc.returncode, proc.stdout, _outputs(directory)
+
+
+def _differences(a, b) -> list[str]:
+    (rc_a, out_a, files_a), (rc_b, out_b, files_b) = a, b
+    diffs = []
+    if rc_a != rc_b:
+        diffs.append(f"exit {rc_a} -> {rc_b}")
+    if out_a != out_b:
+        diffs.append("stdout differs")
+    for fname in sorted(set(files_a) | set(files_b)):
+        if fname not in files_b:
+            diffs.append(f"only in parent: {fname}")
+        elif fname not in files_a:
+            diffs.append(f"only in change: {fname}")
+        elif files_a[fname] != files_b[fname]:
+            diffs.append(f"{fname} differs")
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        n_diff = n_files = 0
+        for name in COMMANDS:
+            parent = _run(args.parent_src.resolve(), name, workdir / "parent")
+            change = _run(args.change_src.resolve(), name, workdir / "change")
+            diffs = _differences(parent, change)
+            n_files += len(change[2])
+            n_diff += bool(diffs)
+            status = "; ".join(diffs) if diffs else "same"
+            print(f"{name:<22} exit {change[0]}  {status}", flush=True)
+    print(f"{len(COMMANDS)} commands, {n_files} files: "
+          f"{n_diff} command(s) differ")
+    return 1 if n_diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
