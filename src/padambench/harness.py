@@ -280,8 +280,9 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
         # overflow on a blown-up iterate is the divergence signal, not an error
         with np.errstate(over="ignore", invalid="ignore"):
             for j in running:
-                loss_col[j, i] = fval = loss(x[j])
+                # gradient first: an oracle may reuse that pass for the loss
                 g_exact = exact_grad(x[j])
+                loss_col[j, i] = fval = loss(x[j])
                 gns_col[j, i] = gns = float(g_exact @ g_exact)
                 if not (math.isfinite(fval) and math.isfinite(gns)):
                     stop.append(j)
@@ -368,7 +369,8 @@ def mean_channel(traces: list[Trace], name: str) -> np.ndarray:
     """Per-step mean of one trace column, compensated summation. At a
     step where that sum of finite values overflows, the mean is the exact
     mean rounded once, which is finite (summing ``v / n`` can still
-    overflow when every value is near the float maximum)."""
+    overflow when every value is near the float maximum), unless the step
+    also holds ``+inf``: then it is ``+inf``."""
     if not traces:
         raise ValueError("no traces given")
     length = min(len(tr.t) for tr in traces)
@@ -379,9 +381,14 @@ def mean_channel(traces: list[Trace], name: str) -> np.ndarray:
         try:
             out[i] = math.fsum(c[i] for c in cols) / n
         except OverflowError:
-            # imported here: fractions loads decimal, about 0.4 MiB of RSS
-            from fractions import Fraction
-            out[i] = float(sum(Fraction(c[i]) for c in cols) / n)
+            row = [c[i] for c in cols]
+            special = [v for v in row if not math.isfinite(v)]
+            if special:  # +inf decides the mean, as it does without overflow
+                out[i] = math.fsum(special) / n
+            else:
+                # imported here: fractions loads decimal, about 0.4 MiB of RSS
+                from fractions import Fraction
+                out[i] = float(sum(map(Fraction, row)) / n)
     return out
 
 

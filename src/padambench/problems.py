@@ -41,6 +41,12 @@ class StochasticProblem:
     inside the centered box of half-width ``box``; ``known_L`` bounds the
     smoothness of the deterministic objective; ``known_f_star`` is its
     infimum. ``start`` overrides the harness's random initial point.
+
+    Oracles must be pure: the same arguments give the same result, in any
+    order of calls. At each recorded point the harness asks for
+    ``exact_grad`` before ``loss``, so an oracle may keep the loss its
+    gradient pass computed and return it from the ``loss`` call that
+    follows.
     """
 
     name: str
@@ -376,12 +382,24 @@ def make_mlp(task_seed: int) -> StochasticProblem:
         + (0.5 * _MLP_SEP) * signs[:, None] * direction
     flips = rng.random(_MLP_N) < _MLP_FLIP
     labels = np.where(flips, 1 - labels, labels)
+    # (bytes of the last point grad saw, the loss there): the gradient pass
+    # computes the loss too. Keyed on bytes, so -0.0, NaN payloads and
+    # arrays mutated in place never match a point they are not.
+    last = (None, 0.0)
 
     def loss(x):
+        x = np.asarray(x, dtype=np.float64)
+        key, value = last
+        if x.tobytes() == key:
+            return value
         return _mlp_eval(x, feats, labels, want_grad=False)[0]
 
     def grad(x):
-        return _mlp_eval(x, feats, labels, want_grad=True)[1]
+        nonlocal last
+        x = np.asarray(x, dtype=np.float64)
+        value, g = _mlp_eval(x, feats, labels, want_grad=True)
+        last = (x.tobytes(), value)
+        return g
 
     def stoch_loss(x, xi):
         return _mlp_eval(x, feats[xi], labels[xi], want_grad=False)[0]

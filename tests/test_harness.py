@@ -438,3 +438,16 @@ def test_mean_channel_fsum():
     stacked = np.stack([tr.loss for tr in traces])
     np.testing.assert_allclose(mean, stacked.mean(axis=0), rtol=1e-15)
     assert mean.shape == (10,)
+
+
+@pytest.mark.parametrize("values", [(math.inf, 1e308, 1e308),
+                                    (1e308, math.inf, 1e308),
+                                    (math.inf, 1.0, 2.0)])
+def test_mean_channel_inf_beside_overflowing_values(values):
+    # the first two overflow fsum's finite partials; the mean is +inf
+    # either way, as it is for the last
+    base = run(quad_spec(steps=2))
+    traces = [dataclasses.replace(base, t=base.t[:1],
+                                  eff_lr_max=np.array([v]))
+              for v in values]
+    assert mean_channel(traces, "eff_lr_max").tolist() == [math.inf]

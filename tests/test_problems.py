@@ -1,5 +1,6 @@
 """Unit tests for the synthetic benchmark problems."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -307,6 +308,47 @@ def test_mlp_kernel_matches_frozen_formula(scale):
         want_f, want_g = _frozen_mlp_eval(x, feats[xi], labels[xi], True)
         assert prob.stoch_loss(x, xi) == want_f
         assert prob.stoch_grad(x, xi).tobytes() == want_g.tobytes()
+
+
+def test_mlp_loss_after_exact_grad_matches_frozen_formula():
+    # loss reuses the value exact_grad computed at the same bytes, and
+    # only there: not at another point, nor after the point is mutated
+    prob = make_mlp(task_seed=7)
+    feats, labels = prob.meta["features"], prob.meta["labels"]
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        x = rng.standard_normal(prob.dim)
+        want_f, want_g = _frozen_mlp_eval(x, feats, labels, True)
+        assert prob.exact_grad(x).tobytes() == want_g.tobytes()
+        assert prob.loss(x) == want_f
+        assert prob.loss(x.copy()) == want_f
+        y = rng.standard_normal(prob.dim)
+        assert prob.loss(y) == _frozen_mlp_eval(y, feats, labels, False)[0]
+        assert prob.loss(x) == want_f
+        x[-1] += 0.5  # an output bias: the loss must move
+        want_moved = _frozen_mlp_eval(x, feats, labels, False)[0]
+        assert want_moved != want_f
+        assert prob.loss(x) == want_moved
+
+
+def test_mlp_finite_diff_interleaved_with_exact_grad():
+    prob = make_mlp(task_seed=7)
+    feats, labels = prob.meta["features"], prob.meta["labels"]
+    frozen = dataclasses.replace(
+        prob, loss=lambda z: _frozen_mlp_eval(z, feats, labels, False)[0])
+    rng = np.random.default_rng(20)
+    h = 1e-6
+    for _ in range(2):
+        x = 0.3 * rng.standard_normal(prob.dim)
+        bump = np.zeros_like(x)
+        bump[0] = h
+        prob.exact_grad(x + bump)  # the first point finite_diff_grad asks
+        fd = finite_diff_grad(prob, x, h)
+        assert fd.tobytes() == finite_diff_grad(frozen, x, h).tobytes()
+        prob.exact_grad(x)
+        fd = finite_diff_grad(prob, x, h)
+        assert fd.tobytes() == finite_diff_grad(frozen, x, h).tobytes()
+        assert prob.loss(x) == frozen.loss(x)
 
 
 def test_mlp_label_noise_fraction():

@@ -23,6 +23,7 @@ from padambench.harness import (
 from padambench.optim import REGISTRY
 from padambench.problems import (
     StochasticProblem,
+    _mlp_eval,
     make_logistic,
     make_mlp,
     make_quadratic,
@@ -80,6 +81,25 @@ def test_batched_replicas_equal_serial_runs(optimizer, problem):
                                      REGISTRY[optimizer].compare_lr),
                    steps=25, seed=5, record_dense=True)
     assert_batched_equals_serial(spec)
+
+
+def test_mlp_memo_leaves_traces_unchanged():
+    # the MLP's loss reuses the full-batch pass of exact_grad at the same
+    # point; a copy that makes both passes must give the same traces
+    prob = make_mlp(0)
+    feats, labels = prob.meta["features"], prob.meta["labels"]
+    plain = dataclasses.replace(
+        prob,
+        loss=lambda x: _mlp_eval(x, feats, labels, want_grad=False)[0],
+        exact_grad=lambda x: _mlp_eval(x, feats, labels, want_grad=True)[1])
+    spec = RunSpec(problem=prob, optimizer="padam", opt_params={},
+                   schedule=Schedule("inv_sqrt", REGISTRY["padam"].compare_lr),
+                   steps=30, seed=5, record_dense=True)
+    plain_spec = dataclasses.replace(spec, problem=plain)
+    assert_same_trace(run(spec), run(plain_spec))
+    for a, b in zip(repeat_runs(spec, N_SEEDS),
+                    repeat_runs(plain_spec, N_SEEDS), strict=True):
+        assert_same_trace(a, b)
 
 
 def test_mixed_block_some_replicas_diverge():

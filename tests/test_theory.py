@@ -5,13 +5,18 @@ before the module existed; they pin the algebra, not the implementation.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from padambench.harness import RunSpec, Schedule, run
+from padambench.harness import RunSpec, Schedule, repeat_runs, run
 from padambench.optim import PadamConfig
-from padambench.problems import make_quadratic
+from padambench.problems import (
+    make_logistic,
+    make_quadratic,
+    make_sparse_growth,
+)
 from padambench.theory import (
     BoundInputs,
     HypothesisError,
@@ -19,6 +24,7 @@ from padambench.theory import (
     bound_q0,
     bound_value,
     check_moment_bounds,
+    check_smoothness_gap,
     check_z_identity,
     estimate_growth_s,
     optimal_alpha,
@@ -232,6 +238,48 @@ def test_trajectory_checks_reject_foreign_optimizer():
     trace = run(spec)
     with pytest.raises(ValueError):
         run_trajectory_checks(trace, prob, PadamConfig())
+
+
+def _smoothness_gap_per_row(trace, problem, cfg, L):
+    """check_smoothness_gap's margin as first written, one step at a time."""
+    x, x_final = trace.dense["x"], trace.dense["x_final"]
+    c = cfg.beta1 / (1.0 - cfg.beta1)
+    full = np.vstack([x, x_final])
+    z = full.copy()
+    z[1:] += c * (full[1:] - full[:-1])
+    worst = math.inf
+    for t in range(x.shape[0]):
+        gap = np.linalg.norm(problem.exact_grad(z[t])
+                             - problem.exact_grad(x[t]))
+        allowed = L * c * (np.linalg.norm(x[t] - x[t - 1]) if t > 0 else 0.0)
+        worst = min(worst, (allowed - gap) / (1.0 + allowed))
+    return worst
+
+
+_CERTIFIED = {
+    "quadratic": lambda d: make_quadratic(d, condition_number=10.0),
+    "logistic": lambda d: make_logistic(d, 60, seed=0),
+    "sparse-growth": lambda d: make_sparse_growth(d, sparsity=0.5, seed=1,
+                                                  rho=0.5),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(_CERTIFIED))
+def test_smoothness_gap_matches_per_row_formula(problem):
+    # every dim the suites check (3-10), with the certified L and with one
+    # too small to hold, so failing margins are compared too
+    cfg = PadamConfig()
+    for dim in range(3, 11):
+        prob = _CERTIFIED[problem](dim)
+        spec = RunSpec(problem=prob, optimizer="padam", opt_params={},
+                       schedule=Schedule("constant", 0.05), steps=60,
+                       seed=dim, record_dense=True)
+        for trace in repeat_runs(spec, 3):
+            for L in (prob.known_L, 0.01 * prob.known_L):
+                res = check_smoothness_gap(trace, prob, cfg, smoothness=L)
+                want = _smoothness_gap_per_row(trace, prob, cfg, L)
+                assert np.float64(res.margin).tobytes() == \
+                    np.float64(want).tobytes(), (dim, L)
 
 
 # ------------------------------------------------------------- verification

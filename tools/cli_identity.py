@@ -36,6 +36,8 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
                      "adagrad", "--steps", "40", "--seeds", "18"], {}),
     "run-mlp-seeds17": (["run", "--problem", "mlp", "--steps", "20",
                          "--seeds", "17"], {}),
+    # a lone run steps on the oracle's own gradient array, not a block row
+    "run-mlp": (["run", "--problem", "mlp", "--steps", "40"], {}),
     "run-multistage": (["run", "--problem", "rosenbrock", "--schedule",
                         "multistage", "--milestones", "20,40", "--init-seed",
                         "3", "--lr", "0.01", "--steps", "60", "--seeds", "3"],
