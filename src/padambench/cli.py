@@ -116,7 +116,8 @@ _TYPES = {**{k: type(v) for k, v in _DEFAULTS.items()},
           "problem": str, "init-seed": int}
 _CHOICES = {"problem": tuple(_PROBLEMS), "optimizer": OPTIMIZERS,
             "schedule": _SCHEDULE_KINDS}
-# keys whose config-file value may also be a JSON list, with its item type
+# list-valued keys with their item type; a flag or config string is split
+# at commas, and a config file may also give a JSON list
 _LIST_ITEMS = {"milestones": int, "p-list": float, "optimizers": str}
 
 _PRESETS = {
@@ -223,7 +224,8 @@ def _config_value(key: str, value, default):
 
 def _resolve(args, keys, defaults=_DEFAULTS) -> tuple[dict, set]:
     """Merge defaults, preset, config file, and explicit flags, in that
-    order. Returns the effective config and the set of keys the user set."""
+    order, and split the list keys' strings into typed lists. Returns the
+    effective config and the set of keys the user set."""
     cfg = {k: defaults[k] for k in keys}
     given: set = set()
     preset = getattr(args, "preset", None)
@@ -255,28 +257,16 @@ def _resolve(args, keys, defaults=_DEFAULTS) -> tuple[dict, set]:
     for k in ("steps", "seeds"):
         if k in cfg and cfg[k] < 1:
             raise ConfigError(f"{k} must be at least 1, got {cfg[k]}")
+    for k, cast in _LIST_ITEMS.items():
+        if isinstance(cfg.get(k), str):  # a flag or config string
+            try:
+                cfg[k] = ([cast(tok.strip()) for tok in cfg[k].split(",")]
+                          if cfg[k].strip() else [])
+            except ValueError as e:
+                raise ConfigError(f"{k!r} takes comma-separated "
+                                  f"{cast.__name__} values, got "
+                                  f"{cfg[k]!r}") from e
     return cfg, given
-
-
-def _parse_milestones(value) -> tuple[int, ...]:
-    if isinstance(value, list):
-        return tuple(value)
-    text = value.strip()
-    if not text:
-        return ()
-    return tuple(int(tok) for tok in text.split(","))
-
-
-def _parse_list(value, cast, what) -> list:
-    if isinstance(value, str):
-        try:
-            value = ([cast(tok.strip()) for tok in value.split(",")]
-                     if value.strip() else [])
-        except ValueError as e:
-            raise ConfigError(f"bad {what} list {value!r}") from e
-    if not value:
-        raise ConfigError(f"empty {what} list")
-    return value
 
 
 def _build_problem(cfg):
@@ -298,7 +288,7 @@ def _build_spec(cfg, optimizer: str, lr: float) -> RunSpec:
         optimizer=optimizer,
         opt_params=_flag_params(cfg, optimizer),
         schedule=Schedule(cfg["schedule"], lr,
-                          milestones=_parse_milestones(cfg["milestones"]),
+                          milestones=cfg["milestones"],
                           decay=cfg["decay"]),
         steps=cfg["steps"],
         seed=cfg["seed"],
@@ -314,7 +304,7 @@ def _flat_config(cfg) -> dict:
             *_PROBLEMS[cfg["problem"]][1])
     out = {k: cfg[k] for k in keys}
     if cfg["schedule"] == "multistage":
-        out["milestones"] = list(_parse_milestones(cfg["milestones"]))
+        out["milestones"] = cfg["milestones"]
         out["decay"] = cfg["decay"]
     if cfg["init-seed"] is not None:
         out["init-seed"] = cfg["init-seed"]
@@ -384,10 +374,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep_p(args) -> int:
     cfg, given = _resolve(args, _SWEEP_KEYS)
-    if "p-list" in given:
-        grid = _parse_list(cfg["p-list"], float, "p")
-    else:
-        grid = [0.0625, 0.125, 0.2, 0.25, 0.4]
+    grid = (cfg["p-list"] if "p-list" in given
+            else [0.0625, 0.125, 0.2, 0.25, 0.4])
+    if not grid:
+        raise ConfigError("empty p list")
     rows = []
     finals = []
     any_diverged = False
@@ -414,16 +404,13 @@ def _cmd_sweep_p(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg, given = _resolve(args, _COMPARE_KEYS)
-    if "optimizers" in given:
-        names = _parse_list(cfg["optimizers"], str, "optimizer")
-        for name in names:
-            if name not in OPTIMIZERS:
-                raise ConfigError(
-                    f"unknown optimizer {name!r}, expected one of "
-                    f"{', '.join(OPTIMIZERS)}"
-                )
-    else:
-        names = list(OPTIMIZERS)
+    names = cfg["optimizers"] if "optimizers" in given else list(OPTIMIZERS)
+    if not names:
+        raise ConfigError("empty optimizer list")
+    for name in names:
+        if name not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer {name!r}, expected one of "
+                              f"{', '.join(OPTIMIZERS)}")
     rows = []
     summary = []
     any_diverged = False

@@ -254,21 +254,22 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
     state = OptState(m=zeros, v=zeros.copy(), v_hat=zeros.copy())
     g_block = np.empty((S, d))
     recorded = [steps] * S
-    diverged = [False] * S
     box_exit: list[int | None] = [None] * S
+    # a stopped row's last iterate; None marks a row that never stopped
     x_final: list[np.ndarray | None] = [None] * S
     running = list(range(S))
 
-    def halt(stop, n, x_next):
+    def halt(stop, n, x_next) -> bool:
         """Stop rows ``stop`` at the current iterate with ``n`` rows
-        recorded; zero them in ``x_next``, ``g`` and the state."""
+        recorded and zero them in ``x_next``, ``g`` and the state. Returns
+        whether no row is left running."""
         for j in stop:
-            recorded[j], diverged[j] = n, True
-            x_final[j] = x[j].copy()
-        running[:] = [j for j in running if j not in stop]
+            recorded[j], x_final[j] = n, x[j].copy()
+            running.remove(j)
         if running:  # a lone run's g is the array the oracle returned
             for a in (x_next, g_block, state.m, state.v, state.v_hat):
                 a[stop] = 0.0
+        return not running
 
     loss, exact_grad = prob.loss, prob.exact_grad
     stoch_grad, sample_xi = prob.stoch_grad, prob.sample_xi
@@ -302,10 +303,8 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
         if not np.isfinite(g_block).all():
             bad = np.flatnonzero(~np.isfinite(g_block).all(axis=1))
             stop += [j for j in bad if j not in stop]
-        if stop:
-            halt(stop, t - 1, x)
-            if not running:
-                break
+        if stop and halt(stop, t - 1, x):
+            break
         try:
             state, out = stepper(state, x, g_block, lr_t)
         except NumericError:
@@ -314,8 +313,7 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
                     if _raises(stepper, state, x, g_block, lr_t, j)]
             if not stop:
                 raise
-            halt(stop, t - 1, x)
-            if not running:
+            if halt(stop, t - 1, x):
                 break
             state, out = stepper(state, x, g_block, lr_t)
         vhat = getattr(state, entry.vhat_field)
@@ -329,35 +327,34 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
             dense["g"][:, i] = g_block
             dense["m"][:, i] = state.m
             dense["vhat"][:, i] = vhat
-        if not np.isfinite(out.new_x).all():
-            halt(np.flatnonzero(~np.isfinite(out.new_x).all(axis=1)), t,
-                 out.new_x)
-            if not running:
-                break
+        if not np.isfinite(out.new_x).all() and halt(
+                np.flatnonzero(~np.isfinite(out.new_x).all(axis=1)), t,
+                out.new_x):
+            break
         x = out.new_x
     wall_ms = 1000.0 * (time.perf_counter() - started)
 
-    for j in running:
-        x_final[j] = x[j]
+    config = _resolved_config(spec)
     traces = []
     for r, seed in enumerate(seeds):
         n = recorded[r]
+        diverged = x_final[r] is not None
         trace_dense = None
         if dense is not None:
             trace_dense = {k: v[r, :n] for k, v in dense.items()}
-            trace_dense["x_final"] = x_final[r].copy()
+            trace_dense["x_final"] = x_final[r] if diverged else x[r].copy()
         meta = {
             "problem": prob.name,
             "optimizer": spec.optimizer,
-            "config": dict(_resolved_config(spec), seed=seed),
+            "config": dict(config, seed=seed),
             "seed": seed,
-            "diverged": diverged[r],
+            "diverged": diverged,
             "wall_ms": wall_ms,
         }
         traces.append(Trace(
             t=np.arange(1, n + 1, dtype=np.int64),
             **{name: cols[name][r, :n] for name in _COLUMNS},
-            diverged=diverged[r],
+            diverged=diverged,
             box_exit=box_exit[r],
             dense=trace_dense,
             meta=meta,

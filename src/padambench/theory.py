@@ -253,15 +253,19 @@ def _dense_arrays(trace: Trace):
     return d["x"], d["g"], d["m"], d["vhat"], d["x_final"]
 
 
-def _scaled_denominators(vhat: np.ndarray, cfg: PadamConfig) -> np.ndarray:
-    """Per-coordinate ``(v_hat + eps)**-p`` with dead coordinates mapped to
-    zero, matching the step rule's zero-update convention."""
+def _inverse_powers(vhat: np.ndarray, cfg: PadamConfig) -> np.ndarray:
+    """Per-coordinate ``(v_hat + eps)**-p``, ones at ``p = 0``. Since
+    ``p <= 1/2``, a coordinate is ``inf`` exactly where its base is 0."""
     base = vhat + cfg.epsilon
     if cfg.p == 0.0:
         return np.ones_like(base)
     with np.errstate(divide="ignore"):
-        scaled = base ** (-cfg.p)
-    return np.where(base == 0.0, 0.0, scaled)
+        return base ** -cfg.p
+
+
+def _scaled_denominators(raw: np.ndarray) -> np.ndarray:
+    """``raw`` with dead (``inf``) coordinates zeroed, like the step rule."""
+    return np.where(raw == np.inf, 0.0, raw)
 
 
 def _z_sequence(x: np.ndarray, x_final: np.ndarray, c: float) -> np.ndarray:
@@ -284,7 +288,7 @@ def check_z_identity(trace: Trace, cfg: PadamConfig) -> CheckResult:
     n = x.shape[0]
     c = cfg.beta1 / (1.0 - cfg.beta1)
     alphas = trace.lr
-    scaled = _scaled_denominators(vhat, cfg)
+    scaled = _scaled_denominators(_inverse_powers(vhat, cfg))
     update = alphas[:, None] * m * scaled
     g_term = alphas[:, None] * g * scaled
     z = _z_sequence(x, x_final, c)
@@ -313,12 +317,10 @@ def check_z_step_bound(trace: Trace, cfg: PadamConfig) -> CheckResult:
     x, g, m, vhat, x_final = _dense_arrays(trace)
     c = cfg.beta1 / (1.0 - cfg.beta1)
     alphas = trace.lr
-    scaled = _scaled_denominators(vhat, cfg)
     # monotonicity uses the raw power, where a zero denominator is +inf:
     # a dead coordinate waking up is a decrease, not an increase
-    base = vhat + cfg.epsilon
-    with np.errstate(divide="ignore"):
-        raw = base ** (-cfg.p) if cfg.p > 0.0 else np.ones_like(base)
+    raw = _inverse_powers(vhat, cfg)
+    scaled = _scaled_denominators(raw)
     eff = alphas[:, None] * raw
     if not np.all(eff[1:] <= eff[:-1] * (1.0 + 1e-12) + 1e-300):
         return CheckResult(name, "inapplicable", 0.0,
@@ -425,7 +427,7 @@ def check_update_energy(
     x, g, m, vhat, _ = _dense_arrays(trace)
     steps, dim = g.shape
     alpha = float(alphas[0])
-    scaled = _scaled_denominators(vhat, cfg)
+    scaled = _scaled_denominators(_inverse_powers(vhat, cfg))
     lhs_m = float(np.sum((alpha * m * scaled) ** 2))
     lhs_g = float(np.sum((alpha * g * scaled) ** 2))
     col_sum = float(np.linalg.norm(g, axis=0).sum())
@@ -566,17 +568,15 @@ def verify_bound(
         x1 = trace.dense["x"][0]
         if delta_f is None:
             delta_f = problem.loss(x1) - problem.known_f_star
-        vhat1 = trace.dense["vhat"][0]
-        base1 = vhat1 + cfg.epsilon
-        if np.any(base1 == 0.0) and cfg.p > 0.0:
+        raw1 = _inverse_powers(trace.dense["vhat"][0], cfg)
+        if np.isinf(raw1).any():
             applicable = False
             notes.append(
                 f"replica {k}: zero first-step denominator, the expectation "
                 "term is undefined"
             )
         else:
-            vhat1_parts.append(float(np.sum(base1 ** -cfg.p))
-                               if cfg.p > 0.0 else float(vhat1.size))
+            vhat1_parts.append(float(np.sum(raw1)))
         est = estimate_growth_s(trace.dense["g"], g_inf=problem.known_G_inf)
         fitted = max(fitted, est.s)
         _keep_worst(agg, run_trajectory_checks(trace, problem, cfg, q=q))

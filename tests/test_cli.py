@@ -197,6 +197,8 @@ def test_sweep_p_default_grid(tmp_path, capsys):
     p_values = sorted({float(r["p"]) for r in rows})
     assert p_values == [0.0625, 0.125, 0.2, 0.25, 0.4]
     assert len(rows) == 5 * 15
+    meta = json.loads((tmp_path / "sweep.meta.json").read_text())
+    assert meta["config"]["milestones"] == []
 
 
 def test_sweep_p_custom_grid(tmp_path, capsys):
@@ -380,5 +382,47 @@ def test_config_value_must_match_flag_type(body, key, tmp_path, capsys):
     outdir = tmp_path / "out"
     rc = main(["run", "--config", str(cfg_path), "--outdir", str(outdir)])
     assert rc == 1
+    assert not outdir.exists()
+    assert repr(key) in capsys.readouterr().err
+
+
+# list keys as JSON lists; the flag form joins each list with commas
+_LIST_KEY_CASES = [
+    ("sweep-p", {"problem": "quadratic", "dim": 3, "steps": 25, "seeds": 2,
+                 "lr": 0.05, "schedule": "multistage",
+                 "milestones": [10, 20], "p-list": [0.5, 0.25]}),
+    ("compare", {"problem": "quadratic", "dim": 3, "steps": 25, "seeds": 2,
+                 "schedule": "multistage", "milestones": [10, 20],
+                 "optimizers": ["padam", "sgdm"]}),
+]
+
+
+@pytest.mark.parametrize("command, values", _LIST_KEY_CASES)
+def test_list_keys_as_flags_match_json_lists(command, values, tmp_path,
+                                             capsys):
+    argv = [command]
+    for k, v in values.items():
+        argv += [f"--{k}", ",".join(map(str, v)) if isinstance(v, list)
+                 else str(v)]
+    assert main(argv + ["--outdir", str(tmp_path / "flags")]) == 0
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(values))
+    assert main([command, "--config", str(cfg_path),
+                 "--outdir", str(tmp_path / "config")]) == 0
+    flags = _written_files(tmp_path / "flags")
+    assert _written_files(tmp_path / "config") == flags
+    meta = next(json.loads(text) for name, text in flags.items()
+                if name.endswith(".meta.json"))
+    assert meta["config"]["milestones"] == [10, 20]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["run", "--problem", "quadratic", "--schedule", "multistage",
+      "--milestones", "10,x"], "milestones"),
+    (["sweep-p", "--problem", "quadratic", "--p-list", "0.1,abc"], "p-list"),
+])
+def test_bad_list_token_names_its_key(argv, key, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert main(argv + ["--outdir", str(outdir)]) == 1
     assert not outdir.exists()
     assert repr(key) in capsys.readouterr().err

@@ -57,6 +57,9 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
     "sweep-p-sparse-eps0": (["sweep-p", "--problem", "sparse-growth",
                              "--steps", "50", "--seeds", "3", "--epsilon",
                              "0"], {}),
+    "sweep-p-multistage": (["sweep-p", "--problem", "quadratic", "--steps",
+                            "40", "--seeds", "2", "--schedule", "multistage",
+                            "--milestones", "10,25"], {}),
     "compare-quadratic": (["compare", "--problem", "quadratic", "--steps",
                            "60", "--seeds", "4"], {}),
     "compare-mlp": (["compare", "--problem", "mlp", "--steps", "30",
@@ -76,6 +79,12 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
                        {"cfg.json": {"problem": "rosenbrock", "steps": 25,
                                      "seeds": 2, "lr": 0.01,
                                      "p-list": [0.1, 0.25]}}),
+    "config-compare-lists": (["compare", "--config", "cfg.json"],
+                             {"cfg.json": {"problem": "quadratic",
+                                           "steps": 30, "seeds": 2,
+                                           "schedule": "multistage",
+                                           "milestones": [10, 20],
+                                           "optimizers": ["adam", "sgdm"]}}),
     **{f"help-{name or 'main'}": ([name, "--help"] if name else ["--help"],
                                   {})
        for name in ("", "run", "sweep-p", "compare", "verify")},
