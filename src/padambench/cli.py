@@ -254,9 +254,10 @@ def _resolve(args, keys, defaults=_DEFAULTS) -> tuple[dict, set]:
         if v is not None:
             cfg[k] = v
             given.add(k)
-    for k in ("steps", "seeds"):
-        if k in cfg and cfg[k] < 1:
-            raise ConfigError(f"{k} must be at least 1, got {cfg[k]}")
+    for k, least in (("steps", 2), ("seeds", 1)):
+        if k in cfg and cfg[k] < least:
+            raise ConfigError(f"{k!r} must be at least {least}, "
+                              f"got {cfg[k]}")
     for k, cast in _LIST_ITEMS.items():
         if isinstance(cfg.get(k), str):  # a flag or config string
             try:

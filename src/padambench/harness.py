@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .optim import REGISTRY, NumericError, OptState
-from .problems import StochasticProblem
+from .problems import StochasticProblem, _rowdot
 
 __all__ = [
     "CSV_HEADER",
@@ -222,14 +222,14 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
     """Run ``spec`` once per seed, advancing the replicas together as
     ``(S, d)`` arrays; block row ``j`` is seed ``seeds[j]`` throughout.
 
-    The step rule runs once per step on the whole block and the problem's
-    oracles once per running row, so every row follows its lone run bit for
-    bit. A row stops at the check and the step where its lone run would
-    stop (nonfinite loss or gradient norm, nonfinite stochastic gradient,
+    The step rule and each of the problem's oracles run once per step on
+    the whole block, so every row follows its lone run bit for bit. A row
+    stops at the check and the step where its lone run would stop
+    (nonfinite loss or gradient norm, nonfinite stochastic gradient,
     ``NumericError``, nonfinite new iterate); the other rows carry on. A
     stopped row is zeroed in ``x``, ``g`` and the state, which every step
     rule steps to zero without raising, and its trace is cut at its last
-    recorded row.
+    recorded row. The oracles still evaluate it, at zero.
     """
     prob = spec.problem
     entry = REGISTRY[spec.optimizer]
@@ -252,24 +252,30 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
                  for name in ("x", "g", "m", "vhat")}
     zeros = np.zeros((S, d))
     state = OptState(m=zeros, v=zeros.copy(), v_hat=zeros.copy())
-    g_block = np.empty((S, d))
     recorded = [steps] * S
     box_exit: list[int | None] = [None] * S
     # a stopped row's last iterate; None marks a row that never stopped
     x_final: list[np.ndarray | None] = [None] * S
-    running = list(range(S))
+    live = np.ones(S, dtype=bool)
+    n_live = S
 
-    def halt(stop, n, x_next) -> bool:
+    def halt(stop, n) -> bool:
         """Stop rows ``stop`` at the current iterate with ``n`` rows
-        recorded and zero them in ``x_next``, ``g`` and the state. Returns
-        whether no row is left running."""
+        recorded and zero them in the state. Returns whether no row is
+        left running."""
+        nonlocal n_live
         for j in stop:
             recorded[j], x_final[j] = n, x[j].copy()
-            running.remove(j)
-        if running:  # a lone run's g is the array the oracle returned
-            for a in (x_next, g_block, state.m, state.v, state.v_hat):
-                a[stop] = 0.0
-        return not running
+        live[stop] = False
+        n_live -= len(stop)
+        for a in (state.m, state.v, state.v_hat):
+            a[stop] = 0.0
+        return not n_live
+
+    def live_rows(a):
+        """``a`` with the stopped rows zeroed, in a new array: ``a`` may be
+        one an oracle returned (sparse-growth's gradient is its input)."""
+        return a if n_live == S else np.where(live[:, None], a, 0.0)
 
     loss, exact_grad = prob.loss, prob.exact_grad
     stoch_grad, sample_xi = prob.stoch_grad, prob.sample_xi
@@ -277,45 +283,38 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
     started = time.perf_counter()
     for t in range(1, steps + 1):
         i = t - 1
-        stop = []
         # overflow on a blown-up iterate is the divergence signal, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in running:
-                # gradient first: an oracle may reuse that pass for the loss
-                g_exact = exact_grad(x[j])
-                loss_col[j, i] = fval = loss(x[j])
-                gns_col[j, i] = gns = float(g_exact @ g_exact)
-                if not (math.isfinite(fval) and math.isfinite(gns)):
-                    stop.append(j)
+            # gradient first: an oracle may reuse that pass for the loss
+            g_exact = exact_grad(x)
+            f = loss_col[:, i] = loss(x)
+            gns = gns_col[:, i] = _rowdot(g_exact, g_exact)
+            g = stoch_grad(x, sample_xi(rngs, t))
+        # rows stopping at the loss check, which precedes the box check
+        at_loss = live & ~(np.isfinite(f) & np.isfinite(gns))
         if None in box_exit and np.abs(x).max() > prob.box:
             for j in np.flatnonzero(np.abs(x).max(axis=1) > prob.box):
-                if box_exit[j] is None and j not in stop:
+                if box_exit[j] is None and not at_loss[j]:
                     box_exit[j] = t
         lr_t = schedule_lr(spec.schedule, t)
-        for j in running:
-            if stop and j in stop:
-                continue
-            g = stoch_grad(x[j], sample_xi(rngs[j], t))
-            if S > 1:
-                g_block[j] = g
-            else:  # a view: a lone run adds no full-size copy per step
-                g_block = np.asarray(g, dtype=np.float64)[None]
-        if not np.isfinite(g_block).all():
-            bad = np.flatnonzero(~np.isfinite(g_block).all(axis=1))
-            stop += [j for j in bad if j not in stop]
-        if stop and halt(stop, t - 1, x):
-            break
+        stop = np.flatnonzero(at_loss | live & ~np.isfinite(g).all(axis=1))
+        if stop.size:
+            if halt(stop, t - 1):
+                break
+            x = live_rows(x)
+        g = live_rows(g)
         try:
-            state, out = stepper(state, x, g_block, lr_t)
+            state, out = stepper(state, x, g, lr_t)
         except NumericError:
             # rare: stop the rows that raise on their own, step the rest
-            stop = [j for j in running
-                    if _raises(stepper, state, x, g_block, lr_t, j)]
+            stop = [j for j in np.flatnonzero(live)
+                    if _raises(stepper, state, x, g, lr_t, j)]
             if not stop:
                 raise
-            if halt(stop, t - 1, x):
+            if halt(stop, t - 1):
                 break
-            state, out = stepper(state, x, g_block, lr_t)
+            x, g = live_rows(x), live_rows(g)
+            state, out = stepper(state, x, g, lr_t)
         vhat = getattr(state, entry.vhat_field)
         cols["lr"][:, i] = lr_t
         cols["eff_lr_min"][:, i] = out.effective_lr_min
@@ -324,13 +323,13 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
         cols["vhat_max"][:, i] = vhat.max(axis=1)
         if dense is not None:
             dense["x"][:, i] = x
-            dense["g"][:, i] = g_block
+            dense["g"][:, i] = g
             dense["m"][:, i] = state.m
             dense["vhat"][:, i] = vhat
-        if not np.isfinite(out.new_x).all() and halt(
-                np.flatnonzero(~np.isfinite(out.new_x).all(axis=1)), t,
-                out.new_x):
-            break
+        if not np.isfinite(out.new_x).all():
+            if halt(np.flatnonzero(~np.isfinite(out.new_x).all(axis=1)), t):
+                break
+            out.new_x[~live] = 0.0  # the step's own array
         x = out.new_x
     wall_ms = 1000.0 * (time.perf_counter() - started)
 

@@ -33,6 +33,34 @@ __all__ = [
 NOISE_CLIP = 3.0  # gaussian gradient noise is truncated at +/- this many sd
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    """``a[k] @ b[k]`` for each row k, bitwise (``einsum`` and
+    ``(a * b).sum(-1)`` sum in another order); a scalar for 1-D."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m @ x[k]`` for each row k (and matrix ``m[k]``), bitwise, which
+    the plain product ``x @ m.T`` is not."""
+    return np.matmul(m, x[..., None])[..., 0]
+
+
+def _per_point(value, x):
+    """A float for one point ``x``, the ``(S,)`` array for a block."""
+    return float(value) if np.ndim(x) == 1 else value
+
+
+def _draw_rows(rng, shape: tuple, fill, dtype=np.float64) -> np.ndarray:
+    """One generator's ``shape`` draw, or an ``(S, *shape)`` block whose row
+    j ``fill(rng[j], row)`` draws in place, as that generator's lone draw."""
+    lone = isinstance(rng, np.random.Generator)
+    rngs = (rng,) if lone else rng
+    out = np.empty((len(rngs), *shape), dtype)
+    for r, row in zip(rngs, out):
+        fill(r, row)
+    return out[0] if lone else out
+
+
 @dataclass(frozen=True)
 class StochasticProblem:
     """A stochastic objective with optional analytic certificates.
@@ -47,6 +75,16 @@ class StochasticProblem:
     ``exact_grad`` before ``loss``, so an oracle may keep the loss its
     gradient pass computed and return it from the ``loss`` call that
     follows.
+
+    Block contract: every oracle takes either one point ``x`` of shape
+    ``(d,)`` or a block of shape ``(S, d)``, and row k of a block result is
+    bitwise what the call on row k returns. The values (``loss``,
+    ``stoch_loss``) are a float for one point and an ``(S,)`` array for a
+    block. ``sample_xi(rng, t)`` takes one generator, or a sequence of S
+    generators and then returns an ``(S, ...)`` block of draws whose row j
+    is bitwise ``sample_xi(rngs[j], t)``; the stochastic oracles take that
+    block with the block of points. A noiseless problem draws ``None`` in
+    both forms.
     """
 
     name: str
@@ -88,19 +126,21 @@ def make_quadratic(
     box = 10.0
 
     def loss(x):
-        return 0.5 * float((eigs * x) @ x)
+        return _per_point(0.5 * _rowdot(eigs * x, x), x)
 
     def grad(x):
         return eigs * x
 
     def stoch_loss(x, xi):
-        return loss(x) + noise * float(xi @ x)
+        return loss(x) + noise * _per_point(_rowdot(xi, x), x)
 
     def stoch_grad(x, xi):
         return grad(x) + noise * xi
 
     def sample_xi(rng, t):
-        return np.clip(rng.standard_normal(dim), -NOISE_CLIP, NOISE_CLIP)
+        xi = _draw_rows(rng, (dim,), lambda r, a: r.standard_normal(out=a))
+        np.minimum(xi, NOISE_CLIP, out=xi)  # np.clip, bitwise, but faster
+        return np.maximum(xi, -NOISE_CLIP, out=xi)
 
     return StochasticProblem(
         name="quadratic",
@@ -128,14 +168,15 @@ def make_rosenbrock(dim: int) -> StochasticProblem:
         raise ValueError(f"dim must be at least 2, got {dim}")
 
     def loss(x):
-        xm, xp = x[:-1], x[1:]
-        return float(np.sum(100.0 * (xp - xm * xm) ** 2 + (1.0 - xm) ** 2))
+        xm, xp = x[..., :-1], x[..., 1:]
+        return _per_point(np.sum(
+            100.0 * (xp - xm * xm) ** 2 + (1.0 - xm) ** 2, axis=-1), x)
 
     def grad(x):
         g = np.zeros_like(x, dtype=np.float64)
-        xm, xp = x[:-1], x[1:]
-        g[:-1] += -400.0 * xm * (xp - xm * xm) - 2.0 * (1.0 - xm)
-        g[1:] += 200.0 * (xp - xm * xm)
+        xm, xp = x[..., :-1], x[..., 1:]
+        g[..., :-1] += -400.0 * xm * (xp - xm * xm) - 2.0 * (1.0 - xm)
+        g[..., 1:] += 200.0 * (xp - xm * xm)
         return g
 
     return StochasticProblem(
@@ -182,15 +223,17 @@ def make_logistic(
     A = data_rng.standard_normal((n_samples, dim)) + 0.5 * y[:, None] * direction
     A = np.clip(A, -5.0, 5.0)
 
+    # feats and labels are the full data, or one minibatch per row: (S, 8, d)
     def _value(x, feats, labels):
-        margins = labels * (feats @ x)
-        data = float(np.logaddexp(0.0, -margins).mean())
-        return data + 0.5 * ridge * float(x @ x)
+        margins = labels * _matvec(feats, x)
+        data = np.logaddexp(0.0, -margins).mean(axis=-1)
+        return _per_point(data + 0.5 * ridge * _rowdot(x, x), x)
 
     def _gradient(x, feats, labels):
-        margins = labels * (feats @ x)
+        margins = labels * _matvec(feats, x)
         weights = labels * _sigmoid(-margins)
-        return -(feats.T @ weights) / len(labels) + ridge * x
+        return (-_matvec(np.swapaxes(feats, -1, -2), weights)
+                / labels.shape[-1] + ridge * x)
 
     def loss(x):
         return _value(x, A, y)
@@ -205,7 +248,8 @@ def make_logistic(
         return _gradient(x, A[xi], y[xi])
 
     def sample_xi(rng, t):
-        return rng.integers(0, n_samples, size=batch)
+        return _draw_rows(rng, (batch,), lambda r, row: np.copyto(
+            row, r.integers(0, n_samples, size=batch)), np.int64)
 
     gram_top = float(np.linalg.eigvalsh(A.T @ A / n_samples)[-1])
     prob = StochasticProblem(
@@ -279,20 +323,21 @@ def make_sparse_growth(
     box = 10.0
 
     def loss(x):
-        return 0.5 * float(x @ x)
+        return _per_point(0.5 * _rowdot(x, x), x)
 
     def grad(x):
         return np.asarray(x, dtype=np.float64)
 
     def stoch_loss(x, xi):
-        return 0.5 * float((xi * x) @ x)
+        return _per_point(0.5 * _rowdot(xi * x, x), x)
 
     def stoch_grad(x, xi):
         return xi * x
 
     def sample_xi(rng, t):
         pi = min(1.0, sparsity * float(t) ** -rho) if rho > 0.0 else sparsity
-        return (rng.random(dim) < pi).astype(np.float64)
+        u = _draw_rows(rng, (dim,), lambda r, row: r.random(out=row))
+        return np.less(u, pi, out=u)  # the 0.0 / 1.0 mask, in place
 
     return StochasticProblem(
         name="sparse_growth",
@@ -320,49 +365,58 @@ _MLP_FLIP = 0.04
 
 
 def _mlp_unpack(theta: np.ndarray):
+    lead = theta.shape[:-1]  # () for one point, (S,) for a block
     i = _MLP_IN * _MLP_HIDDEN
-    w1 = theta[:i].reshape(_MLP_IN, _MLP_HIDDEN)
-    b1 = theta[i:i + _MLP_HIDDEN]
+    w1 = theta[..., :i].reshape(*lead, _MLP_IN, _MLP_HIDDEN)
+    b1 = theta[..., i:i + _MLP_HIDDEN]
     j = i + _MLP_HIDDEN
-    w2 = theta[j:j + _MLP_HIDDEN * _MLP_OUT].reshape(_MLP_HIDDEN, _MLP_OUT)
-    b2 = theta[j + _MLP_HIDDEN * _MLP_OUT:]
+    w2 = theta[..., j:j + _MLP_HIDDEN * _MLP_OUT].reshape(
+        *lead, _MLP_HIDDEN, _MLP_OUT)
+    b2 = theta[..., j + _MLP_HIDDEN * _MLP_OUT:]
     return w1, b1, w2, b2
 
 
 def _mlp_eval(theta, feats, labels, want_grad):
-    # in place where the formula allows, so a full-batch gradient holds two
-    # (n, hidden) arrays at once rather than five; the two-class row max
-    # and row sum are written elementwise, which is the same arithmetic
-    w1, b1, w2, b2 = _mlp_unpack(np.asarray(theta, dtype=np.float64))
+    # one point or an (S, d) block, on the full data or on one minibatch
+    # per row; stacked, each row is bitwise its lone pass. In place where
+    # the formula allows, so a full-batch gradient holds two (n, hidden)
+    # arrays at once rather than five; the two-class row max and row sum
+    # are written elementwise, which is the same arithmetic
+    theta = np.asarray(theta, dtype=np.float64)
+    w1, b1, w2, b2 = _mlp_unpack(theta)
     h = feats @ w1
-    h += b1
+    h += b1[..., None, :]
     np.tanh(h, out=h)
     shifted = h @ w2
-    shifted += b2
-    l0, l1 = shifted[:, 0], shifted[:, 1]
-    shifted -= np.maximum(l0, l1)[:, None]
+    shifted += b2[..., None, :]
+    l0, l1 = shifted[..., 0], shifted[..., 1]
+    shifted -= np.maximum(l0, l1)[..., None]
     e = np.exp(shifted)
-    log_z = e[:, 0] + e[:, 1]
+    log_z = e[..., 0] + e[..., 1]
     np.log(log_z, out=log_z)
     log_p = shifted
-    log_p -= log_z[:, None]
-    n = feats.shape[0]
-    rows = np.arange(n)
-    value = -float(log_p[rows, labels].mean())
+    log_p -= log_z[..., None]
+    n = labels.shape[-1]
+    # the log-probability of each sample's own label
+    value = _per_point(
+        -np.where(labels, log_p[..., 1], log_p[..., 0]).mean(axis=-1), theta)
     if not want_grad:
         return value, None
     delta = np.exp(log_p, out=e)
-    delta[rows, labels] -= 1.0
+    delta[..., 0] -= 1 - labels  # minus the one-hot label; x - 0 is x
+    delta[..., 1] -= labels
     delta /= n
-    g_w2 = h.T @ delta
-    g_b2 = delta.sum(axis=0)
-    dz1 = delta @ w2.T
+    g_w2 = np.swapaxes(h, -1, -2) @ delta
+    g_b2 = delta.sum(axis=-2)
+    dz1 = delta @ np.swapaxes(w2, -1, -2)
     np.multiply(h, h, out=h)
     np.subtract(1.0, h, out=h)
     dz1 *= h
-    g_w1 = feats.T @ dz1
-    g_b1 = dz1.sum(axis=0)
-    return value, np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+    g_w1 = np.swapaxes(feats, -1, -2) @ dz1
+    g_b1 = dz1.sum(axis=-2)
+    lead = theta.shape[:-1]
+    return value, np.concatenate([g_w1.reshape(*lead, -1), g_b1,
+                                  g_w2.reshape(*lead, -1), g_b2], axis=-1)
 
 
 def make_mlp(task_seed: int) -> StochasticProblem:
@@ -382,23 +436,32 @@ def make_mlp(task_seed: int) -> StochasticProblem:
         + (0.5 * _MLP_SEP) * signs[:, None] * direction
     flips = rng.random(_MLP_N) < _MLP_FLIP
     labels = np.where(flips, 1 - labels, labels)
-    # (bytes of the last point grad saw, the loss there): the gradient pass
-    # computes the loss too. Keyed on bytes, so -0.0, NaN payloads and
-    # arrays mutated in place never match a point they are not.
+    # (shape and bytes of the last point or block grad saw, the loss there):
+    # the gradient pass computes the loss too. Keyed on bytes, so -0.0, NaN
+    # payloads and arrays mutated in place never match a point they are not.
     last = (None, 0.0)
+
+    def full_batch(x, want_grad):
+        # a block row by row: stacked, the (S, n, hidden) activations made
+        # the pass slower than S lone passes at every S measured
+        if x.ndim == 1:
+            return _mlp_eval(x, feats, labels, want_grad)
+        rows = [_mlp_eval(row, feats, labels, want_grad) for row in x]
+        return (np.array([value for value, _ in rows]),
+                np.stack([g for _, g in rows]) if want_grad else None)
 
     def loss(x):
         x = np.asarray(x, dtype=np.float64)
         key, value = last
-        if x.tobytes() == key:
-            return value
-        return _mlp_eval(x, feats, labels, want_grad=False)[0]
+        if (x.shape, x.tobytes()) == key:
+            return value if x.ndim == 1 else value.copy()
+        return full_batch(x, want_grad=False)[0]
 
     def grad(x):
         nonlocal last
         x = np.asarray(x, dtype=np.float64)
-        value, g = _mlp_eval(x, feats, labels, want_grad=True)
-        last = (x.tobytes(), value)
+        value, g = full_batch(x, want_grad=True)
+        last = ((x.shape, x.tobytes()), value)
         return g
 
     def stoch_loss(x, xi):
@@ -408,7 +471,8 @@ def make_mlp(task_seed: int) -> StochasticProblem:
         return _mlp_eval(x, feats[xi], labels[xi], want_grad=True)[1]
 
     def sample_xi(rng_, t):
-        return rng_.integers(0, _MLP_N, size=_MLP_BATCH)
+        return _draw_rows(rng_, (_MLP_BATCH,), lambda r, row: np.copyto(
+            row, r.integers(0, _MLP_N, size=_MLP_BATCH)), np.int64)
 
     return StochasticProblem(
         name="mlp",

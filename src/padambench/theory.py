@@ -25,7 +25,7 @@ import numpy as np
 
 from .harness import RunSpec, Schedule, Trace, iter_runs, select_output
 from .optim import REGISTRY, PadamConfig
-from .problems import StochasticProblem
+from .problems import StochasticProblem, _rowdot
 
 __all__ = [
     "BoundConstants",
@@ -338,9 +338,9 @@ def check_z_step_bound(trace: Trace, cfg: PadamConfig) -> CheckResult:
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bitwise ``np.linalg.norm(row)``: one
-    dot product per row (``norm(axis=1)`` sums pairwise instead)."""
-    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None]))[:, 0, 0]
+    """Each row's norm, bitwise ``np.linalg.norm(row)`` (``norm(axis=1)``
+    sums pairwise instead)."""
+    return np.sqrt(_rowdot(a, a))
 
 
 def check_smoothness_gap(
@@ -361,10 +361,8 @@ def check_smoothness_gap(
     x, _, _, _, x_final = _dense_arrays(trace)
     c = cfg.beta1 / (1.0 - cfg.beta1)
     z = _z_sequence(x, x_final, c)
-    # one oracle call per row, each result copied straight into the block
-    row = np.dtype((np.float64, x.shape[1]))
-    gap = _row_norms(np.fromiter(map(problem.exact_grad, z[:-1]), row, len(x))
-                     - np.fromiter(map(problem.exact_grad, x), row, len(x)))
+    # one oracle call on each (T, d) history
+    gap = _row_norms(problem.exact_grad(z[:-1]) - problem.exact_grad(x))
     disp = np.zeros_like(gap)
     disp[1:] = _row_norms(np.diff(x, axis=0))
     allowed = L * c * disp

@@ -290,7 +290,21 @@ def test_verify_unknown_suite_is_config_error(tmp_path):
 def test_nonpositive_counts_are_config_errors(argv, tmp_path, capsys):
     assert main(argv + ["--outdir", str(tmp_path)]) == 1
     assert list(tmp_path.iterdir()) == []
-    assert "at least 1" in capsys.readouterr().err
+    least = {"steps": 2, "seeds": 1}
+    key = "steps" if "--steps" in argv else "seeds"
+    assert f"{key!r} must be at least {least[key]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "bound", "--steps", "1"],
+    ["run", "--problem", "quadratic", "--steps", "1"],
+])
+def test_single_step_is_a_config_error(argv, tmp_path, capsys):
+    # output selection draws from steps 2..T, so a run needs two steps
+    outdir = tmp_path / "out"
+    assert main(argv + ["--outdir", str(outdir)]) == 1
+    assert not outdir.exists()
+    assert "'steps' must be at least 2, got 1" in capsys.readouterr().err
 
 
 def test_failed_rewrite_keeps_previous_outputs(tmp_path, monkeypatch,

@@ -4,6 +4,10 @@ the effective-lr extrema and coordinates that never see a gradient.
 
 Streams have at most 8 coordinates, at most 20 steps and entries bounded
 by 1e3 in magnitude.
+
+Also the problems' block contract: on a block of 1 to 17 random points,
+every oracle equals its row-by-row calls byte for byte, and ``sample_xi``
+on S generators equals S lone draws.
 """
 
 import dataclasses
@@ -22,6 +26,13 @@ from padambench.optim import (
     init_state,
     padam_step,
     sgd_momentum_step,
+)
+from padambench.problems import (
+    make_logistic,
+    make_mlp,
+    make_quadratic,
+    make_rosenbrock,
+    make_sparse_growth,
 )
 
 LR = 1e-3
@@ -120,3 +131,58 @@ def test_dead_coordinates_never_raise_or_move(cfg, stream, data):
     for _, out in pairs:
         for k in dead:
             assert out.new_x[k] == x0[k]
+
+
+PROBLEMS = {
+    "quadratic": make_quadratic(7, condition_number=8.0, noise=0.1),
+    "rosenbrock": make_rosenbrock(5),
+    "logistic": make_logistic(6, 50, seed=1),
+    "sparse-growth": make_sparse_growth(6, sparsity=0.5, seed=0, rho=0.3),
+    "mlp": make_mlp(2),
+}
+
+
+def _same_bytes(block, rows):
+    """``block`` is ``rows`` stacked, with the same dtype, bit for bit."""
+    stacked = np.array(rows)
+    block = np.asarray(block)
+    assert block.shape == stacked.shape
+    assert block.dtype == stacked.dtype
+    assert block.tobytes() == stacked.tobytes()
+
+
+def _assert_block_contract(problem, X, seeds, t):
+    xi = problem.sample_xi([np.random.default_rng(s) for s in seeds], t)
+    lone = [problem.sample_xi(np.random.default_rng(s), t) for s in seeds]
+    if xi is None:  # a noiseless problem
+        assert all(draw is None for draw in lone)
+    else:
+        _same_bytes(xi, lone)
+    # exact_grad first, as the harness calls it: the MLP's loss then
+    # answers from the gradient pass
+    for name in ("exact_grad", "loss"):
+        oracle = getattr(problem, name)
+        _same_bytes(oracle(X), [oracle(x) for x in X])
+    for name in ("stoch_grad", "stoch_loss"):
+        oracle = getattr(problem, name)
+        rows = [oracle(x, draw) for x, draw in zip(X, lone)]
+        _same_bytes(oracle(X, xi), rows)
+    assert all(type(problem.loss(x)) is float for x in X)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(sorted(PROBLEMS)), st.integers(1, 17),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 3.0]),
+       st.integers(1, 200))
+def test_block_oracles_equal_row_calls(name, S, seed, scale, t):
+    problem = PROBLEMS[name]
+    rng = np.random.default_rng(seed)
+    X = scale * rng.standard_normal((S, problem.dim))
+    _assert_block_contract(problem, X, range(seed % 1000, seed % 1000 + S), t)
+
+
+def test_block_oracles_equal_row_calls_wide_quadratic():
+    # where BLAS splits a long dot product into blocks of its own
+    problem = make_quadratic(100_000, condition_number=10.0, noise=0.1)
+    X = 0.1 * np.random.default_rng(3).standard_normal((3, problem.dim))
+    _assert_block_contract(problem, X, [5, 6, 7], 1)

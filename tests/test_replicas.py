@@ -23,7 +23,9 @@ from padambench.harness import (
 from padambench.optim import REGISTRY
 from padambench.problems import (
     StochasticProblem,
+    _draw_rows,
     _mlp_eval,
+    _rowdot,
     make_logistic,
     make_mlp,
     make_quadratic,
@@ -72,6 +74,54 @@ def assert_batched_equals_serial(spec, n_seeds=N_SEEDS):
     return batched
 
 
+def _spied(problem):
+    """``problem`` with its oracles wrapped: ``exact_grad`` logs a copy of
+    each block it is given, and every array an oracle returns is kept
+    with a copy of itself."""
+    iterates, returned = [], []
+
+    def keep(out):
+        if isinstance(out, np.ndarray):
+            returned.append((out, out.copy()))
+        return out
+
+    def exact_grad(x):
+        iterates.append(x.copy())
+        return keep(problem.exact_grad(x))
+
+    spied = dataclasses.replace(
+        problem, exact_grad=exact_grad,
+        loss=lambda x: keep(problem.loss(x)),
+        stoch_grad=lambda x, xi: keep(problem.stoch_grad(x, xi)),
+        sample_xi=lambda rng, t: keep(problem.sample_xi(rng, t)))
+    return spied, iterates, returned
+
+
+def assert_stopped_rows_stay_zero(spec, n_seeds=N_SEEDS):
+    """The oracles still evaluate a stopped row, so its stochastic gradient
+    need not be zero; the harness must keep the row zero in ``x``, which
+    takes a zero ``g`` and state too, and must write into no array an
+    oracle returned. Eighteen seeds make one block of 16 rows, then one
+    of 2."""
+    problem, iterates, returned = _spied(spec.problem)
+    traces = repeat_runs(dataclasses.replace(spec, problem=problem), n_seeds)
+    blocks = {}
+    for block in iterates:  # the steps of each block, in order
+        blocks.setdefault(len(block), []).append(block)
+    evaluated_after_stop = 0
+    for k, trace in enumerate(traces):
+        first = 16 * (k // 16)
+        steps = blocks[min(16, n_seeds - first)]
+        if trace.diverged:
+            # zero from the step after the one that stopped it
+            after = steps[len(trace.t) + 1:]
+            assert all(not block[k - first].any() for block in after)
+            evaluated_after_stop += len(after)
+    assert evaluated_after_stop > 0
+    for out, copy in returned:
+        assert out.tobytes() == copy.tobytes()
+
+
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_batched_replicas_equal_serial_runs(optimizer, problem):
@@ -113,6 +163,7 @@ def test_mixed_block_some_replicas_diverge():
     assert any(tr.diverged for tr in traces)
     assert not all(tr.diverged for tr in traces)
     assert len(lengths) > 2
+    assert_stopped_rows_stay_zero(spec)
 
 
 def _tiny_gradient_problem() -> StochasticProblem:
@@ -120,20 +171,20 @@ def _tiny_gradient_problem() -> StochasticProblem:
     it is 1e-163: under epsilon = 0 its second moment underflows to 0
     while its momentum does not, so the step raises ``NumericError``."""
 
-    def sample_xi(rng, t):
-        tiny = 1e-163 if rng.random() < 0.04 else 0.0
-        return np.array([tiny, rng.standard_normal()])
+    def fill(rng, row):
+        row[0] = 1e-163 if rng.random() < 0.04 else 0.0
+        row[1] = rng.standard_normal()
 
     def stoch_grad(x, xi):
-        return np.array([xi[0], x[1] + xi[1]])
+        return np.stack([xi[..., 0], x[..., 1] + xi[..., 1]], axis=-1)
 
     return StochasticProblem(
         name="tiny-gradient", dim=2,
-        loss=lambda x: 0.5 * float(x @ x),
+        loss=lambda x: 0.5 * _rowdot(x, x),
         exact_grad=lambda x: np.array(x, dtype=np.float64),
-        stoch_loss=lambda x, xi: 0.5 * float(x @ x),
+        stoch_loss=lambda x, xi: 0.5 * _rowdot(x, x),
         stoch_grad=stoch_grad,
-        sample_xi=sample_xi,
+        sample_xi=lambda rng, t: _draw_rows(rng, (2,), fill),
     )
 
 
@@ -146,24 +197,25 @@ def test_mixed_block_numeric_error_on_some_replicas():
     stopped = [len(tr.t) for tr in traces if tr.diverged]
     assert len(set(stopped)) > 1  # raised at different steps
     assert not all(tr.diverged for tr in traces)
+    assert_stopped_rows_stay_zero(spec)
 
 
 def _nan_gradient_problem() -> StochasticProblem:
     """A quadratic whose stochastic gradient is NaN on a coordinate with
     probability 0.01 per step: a replica stops at the first such draw."""
 
-    def sample_xi(rng, t):
-        xi = 0.1 * rng.standard_normal(2)
-        xi[rng.random(2) < 0.01] = math.nan
-        return xi
+    def fill(rng, row):
+        row[:] = 0.1 * rng.standard_normal(2)
+        row[rng.random(2) < 0.01] = math.nan
 
     return StochasticProblem(
         name="nan-gradient", dim=2,
-        loss=lambda x: 0.5 * float(x @ x),
-        exact_grad=lambda x: np.array(x, dtype=np.float64),
-        stoch_loss=lambda x, xi: 0.5 * float(x @ x),
+        loss=lambda x: 0.5 * _rowdot(x, x),
+        # the iterate itself, as sparse-growth's gradient is
+        exact_grad=lambda x: np.asarray(x, dtype=np.float64),
+        stoch_loss=lambda x, xi: 0.5 * _rowdot(x, x),
         stoch_grad=lambda x, xi: x + xi,
-        sample_xi=sample_xi,
+        sample_xi=lambda rng, t: _draw_rows(rng, (2,), fill),
     )
 
 
@@ -178,16 +230,55 @@ def test_mixed_block_nonfinite_stochastic_gradient(optimizer):
     stopped = [len(tr.t) for tr in traces if tr.diverged]
     assert len(set(stopped)) > 1
     assert not all(tr.diverged for tr in traces)
+    assert_stopped_rows_stay_zero(spec)
+
+
+def _spike_problem() -> StochasticProblem:
+    """Pure noise gradients that are 1e308 on rare draws: at lr 10 that
+    step overflows the new iterate, while the loss and both gradients at
+    the current iterate stay finite."""
+
+    def fill(rng, row):
+        row[:] = 0.1 * rng.standard_normal(2)
+        if rng.random() < 0.03:
+            row[0] = 1e308
+
+    return StochasticProblem(
+        name="spike", dim=2,
+        loss=lambda x: 0.5 * _rowdot(x, x),
+        exact_grad=lambda x: np.asarray(x, dtype=np.float64),
+        stoch_loss=lambda x, xi: 0.5 * _rowdot(x, x),
+        stoch_grad=lambda x, xi: xi.copy(),
+        sample_xi=lambda rng, t: _draw_rows(rng, (2,), fill),
+    )
+
+
+def test_mixed_block_nonfinite_new_iterate():
+    spec = RunSpec(problem=_spike_problem(), optimizer="sgdm",
+                   opt_params={}, schedule=Schedule("constant", 10.0),
+                   steps=60, seed=0, record_dense=True)
+    traces = assert_batched_equals_serial(spec)
+    stopped = [len(tr.t) for tr in traces if tr.diverged]
+    assert len(set(stopped)) > 1
+    assert not all(tr.diverged for tr in traces)
+    # stopped after its step: the spike row is recorded, x_final is finite
+    for tr in traces:
+        if tr.diverged:
+            assert tr.dense["g"][-1, 0] == 1e308
+            assert np.isfinite(tr.dense["x_final"]).all()
+    assert_stopped_rows_stay_zero(spec)
 
 
 def test_lone_run_leaves_the_oracle_gradient_alone():
     # the stochastic gradient is the draw itself, which the test keeps: a
-    # lone run steps on it in place of a copy and must not zero it on stop
-    draws = []
+    # lone run steps on it in place of a copy and must not zero it on stop,
+    # nor write into it, nor into the iterate exact_grad hands back
+    draws, copies = [], []
     base = _nan_gradient_problem()
 
     def sample_xi(rng, t):
         draws.append(base.sample_xi(rng, t))
+        copies.append(draws[-1].copy())
         return draws[-1]
 
     problem = dataclasses.replace(base, sample_xi=sample_xi,
@@ -197,6 +288,11 @@ def test_lone_run_leaves_the_oracle_gradient_alone():
                         seed=0))
     assert trace.diverged and len(trace.t) == len(draws) - 1
     assert np.isnan(draws[-1]).any()
+    assert [d.tobytes() for d in draws] == [c.tobytes() for c in copies]
+    spied, _, returned = _spied(problem)
+    run(RunSpec(problem=spied, optimizer="padam", opt_params={},
+                schedule=Schedule("constant", 0.1), steps=80, seed=0))
+    assert all(out.tobytes() == copy.tobytes() for out, copy in returned)
 
 
 def _cliff_problem() -> StochasticProblem:
@@ -206,17 +302,17 @@ def _cliff_problem() -> StochasticProblem:
     before their first step."""
 
     def loss(x):
-        return 0.5 * float(x @ x) if x[0] < 0.05 else math.inf
+        return np.where(x[..., 0] < 0.05, 0.5 * _rowdot(x, x), math.inf)
 
-    def sample_xi(rng, t):
-        return 0.05 * rng.standard_normal(3)
+    def fill(rng, row):
+        row[:] = 0.05 * rng.standard_normal(3)
 
     return StochasticProblem(
         name="cliff", dim=3, loss=loss,
-        exact_grad=lambda x: np.array(x, dtype=np.float64),
+        exact_grad=lambda x: np.asarray(x, dtype=np.float64),
         stoch_loss=lambda x, xi: loss(x),
         stoch_grad=lambda x, xi: x + xi - np.array([0.2, 0.0, 0.0]),
-        sample_xi=sample_xi,
+        sample_xi=lambda rng, t: _draw_rows(rng, (3,), fill),
     )
 
 
@@ -232,3 +328,4 @@ def test_mixed_block_loss_check_before_first_step(optimizer, lr):
     never = next(tr for tr in traces if len(tr.t) == 0)
     assert never.dense["x"].shape == (0, 3)
     assert never.dense["x_final"][0] >= 0.05
+    assert_stopped_rows_stay_zero(spec)

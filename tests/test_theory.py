@@ -329,3 +329,16 @@ def test_verify_bound_deterministic():
     r2 = verify_bound(prob, cfg, alpha=0.02, steps=80, n_seeds=3, seed=2)
     assert r1.empirical_grad_norm_sq == r2.empirical_grad_norm_sq
     assert r1.bound == r2.bound
+
+
+def test_verify_bound_zero_first_step_denominator():
+    # with epsilon = 0 a masked first draw leaves some v_hat_1 coordinate
+    # at 0: (v_hat_1 + eps)^-p is infinite on every replica, so the
+    # expectation term is undefined and left out, not summed as inf
+    report = verify_bound(make_sparse_growth(6, 0.5), PadamConfig(epsilon=0.0),
+                          alpha=0.01, steps=50, n_seeds=4)
+    assert not report.applicable
+    zero = [n for n in report.notes if "zero first-step denominator" in n]
+    assert zero == [f"replica {k}: zero first-step denominator, the "
+                    "expectation term is undefined" for k in range(4)]
+    assert report.inputs.vhat1_term == 0.0

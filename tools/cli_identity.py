@@ -42,6 +42,11 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
                         "multistage", "--milestones", "20,40", "--init-seed",
                         "3", "--lr", "0.01", "--steps", "60", "--seeds", "3"],
                        {}),
+    # one wide replica: the (1, d) block path on a large draw
+    "run-wide": (["run", "--problem", "quadratic", "--dim", "100000",
+                  "--steps", "40"], {}),
+    "run-sparse-seeds17": (["run", "--problem", "sparse-growth", "--rho",
+                            "0.5", "--steps", "60", "--seeds", "17"], {}),
     "run-preset": (["run", "--problem", "quadratic", "--preset", "lstm",
                     "--steps", "30"], {}),
     "run-diverging": (["run", "--problem", "rosenbrock", "--optimizer",
@@ -68,6 +73,9 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
                             "--seeds", "4", "--seed", "3"], {})
        for suite in ("reductions", "gradients", "trajectory", "bound",
                      "all")},
+    # 17 seeds cross a block boundary
+    "verify-bound-seeds17": (["verify", "--suite", "bound", "--steps", "100",
+                              "--seeds", "17"], {}),
     "config-run": (["run", "--config", "cfg.json"],
                    {"cfg.json": {"problem": "quadratic",
                                  "optimizer": "amsgrad", "dim": 4,
