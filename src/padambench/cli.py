@@ -14,7 +14,6 @@ which wins over a preset.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import sys
@@ -56,6 +55,7 @@ from .problems import (
 )
 from .theory import (
     HypothesisError,
+    _check_records,
     _keep_worst,
     optimal_alpha,
     report_to_dict,
@@ -533,9 +533,7 @@ def _verify_trajectory(steps: int, seeds: int, seed: int, dim: int,
         "passed": all(r.status == "pass" for r in worst.values()),
         "steps": steps,
         "seeds": seeds,
-        "checks": {name: {"status": r.status, "margin": r.margin,
-                          "detail": r.detail}
-                   for name, r in worst.items()},
+        "checks": _check_records(worst),
     }
 
 
@@ -599,22 +597,6 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 3
 
 
-def _pin_malloc_thresholds() -> None:
-    """Pin glibc's mmap and trim thresholds at the ceilings its dynamic
-    policy would reach. Left dynamic, whether each step re-faults freed
-    temporaries (the MLP's 1000 x 16 activations sit just under the 128 KiB
-    default) hinges on heap layout: ``compare --problem mlp`` ran 25-35%
-    slower in an unlucky one. A no-op without ``mallopt``."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 _DISPATCH = {
     "run": _cmd_run,
     "sweep-p": _cmd_sweep_p,
@@ -624,7 +606,6 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    _pin_malloc_thresholds()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -218,6 +218,9 @@ def _raises(stepper, state: OptState, x, g, lr: float, j: int) -> bool:
     return False
 
 
+# overflow on a blown-up iterate, in the oracles or in the step rule, is the
+# divergence signal, not an error
+@np.errstate(over="ignore", invalid="ignore")
 def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
     """Run ``spec`` once per seed, advancing the replicas together as
     ``(S, d)`` arrays; block row ``j`` is seed ``seeds[j]`` throughout.
@@ -283,13 +286,11 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
     started = time.perf_counter()
     for t in range(1, steps + 1):
         i = t - 1
-        # overflow on a blown-up iterate is the divergence signal, not an error
-        with np.errstate(over="ignore", invalid="ignore"):
-            # gradient first: an oracle may reuse that pass for the loss
-            g_exact = exact_grad(x)
-            f = loss_col[:, i] = loss(x)
-            gns = gns_col[:, i] = _rowdot(g_exact, g_exact)
-            g = stoch_grad(x, sample_xi(rngs, t))
+        # gradient first: an oracle may reuse that pass for the loss
+        g_exact = exact_grad(x)
+        f = loss_col[:, i] = loss(x)
+        gns = gns_col[:, i] = _rowdot(g_exact, g_exact)
+        g = stoch_grad(x, sample_xi(rngs, t))
         # rows stopping at the loss check, which precedes the box check
         at_loss = live & ~(np.isfinite(f) & np.isfinite(gns))
         if None in box_exit and np.abs(x).max() > prob.box:

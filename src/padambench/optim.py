@@ -157,11 +157,7 @@ def _guarded_update(
     zero meeting nonzero ``m`` raises ``NumericError`` instead. Under
     ``epsilon = 0`` that happens on a coordinate whose every gradient so
     far is below roughly 1e-161 in magnitude (at ``b2 = 0.999``), not all
-    zero: ``(1-b2)*g*g`` underflows to zero while ``(1-b1)*g`` does not.
-
-    No mask is held across the division, and callers keep ``base`` alive:
-    at d = 1e5 either change alters malloc's heap enough to cost hundreds
-    of page faults per step."""
+    zero: ``(1-b2)*g*g`` underflows to zero while ``(1-b1)*g`` does not."""
     if not (denom == 0.0).any():
         return lr * m / denom
     dead = denom == 0.0
@@ -198,10 +194,6 @@ def padam_step(
     v = b2 * state.v + (1.0 - b2) * g * g
     v_hat = np.maximum(state.v_hat, v)
     new_state = OptState(m=m, v=v, v_hat=v_hat, t=state.t + 1)
-
-    if cfg.p == 0.0:
-        new_x = x - lr * m
-        return new_state, StepOutcome(new_x, lr, lr)
 
     base = v_hat + cfg.epsilon
     denom = base**cfg.p
@@ -339,8 +331,6 @@ def effective_lr_bounds(
     """
     if state.t < 1:
         raise ValueError("effective lr is undefined before the first step")
-    if p == 0.0:
-        return lr, lr
     denom = (state.v_hat + epsilon) ** p
     return _lr_range(lr, denom)
 

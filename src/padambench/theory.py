@@ -254,11 +254,9 @@ def _dense_arrays(trace: Trace):
 
 
 def _inverse_powers(vhat: np.ndarray, cfg: PadamConfig) -> np.ndarray:
-    """Per-coordinate ``(v_hat + eps)**-p``, ones at ``p = 0``. Since
-    ``p <= 1/2``, a coordinate is ``inf`` exactly where its base is 0."""
+    """Per-coordinate ``(v_hat + eps)**-p``: ones at ``p = 0``, zero bases
+    included; for ``p > 0``, ``inf`` exactly where the base is 0."""
     base = vhat + cfg.epsilon
-    if cfg.p == 0.0:
-        return np.ones_like(base)
     with np.errstate(divide="ignore"):
         return base ** -cfg.p
 
@@ -631,6 +629,14 @@ def verify_bound(
     )
 
 
+def _check_records(checks: dict[str, CheckResult]) -> dict:
+    """Each check as the ``{status, margin, detail}`` record of
+    ``report.json``."""
+    return {name: {"status": r.status, "margin": float(r.margin),
+                   "detail": r.detail}
+            for name, r in checks.items()}
+
+
 def report_to_dict(report: TheoryReport) -> dict:
     """Flatten a report into JSON-serializable primitives."""
     return {
@@ -656,10 +662,6 @@ def report_to_dict(report: TheoryReport) -> dict:
         "looseness": float(report.looseness),
         "fitted_s": float(report.fitted_s),
         "applicable": bool(report.applicable),
-        "checks": {
-            name: {"status": r.status, "margin": float(r.margin),
-                   "detail": r.detail}
-            for name, r in report.checks.items()
-        },
+        "checks": _check_records(report.checks),
         "notes": list(report.notes),
     }

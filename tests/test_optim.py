@@ -467,12 +467,22 @@ def test_effective_lr_bounds_basic():
     np.testing.assert_allclose(0.04**0.125 - (3e-8) ** 0.125, 0.554, atol=5e-4)
 
 
-def test_effective_lr_bounds_p_zero_and_uniform():
-    st = OptState(m=np.zeros(3), v=np.zeros(3), v_hat=np.array([1.0, 2.0, 3.0]), t=1)
-    assert effective_lr_bounds(st, 0.2, 0.0, 1e-8) == (0.2, 0.2)
-    st_eq = OptState(m=np.zeros(2), v=np.zeros(2), v_hat=np.array([4.0, 4.0]), t=1)
-    lo, hi = effective_lr_bounds(st_eq, 0.2, 0.5, 0.0)
-    assert lo == hi == 0.1
+@pytest.mark.parametrize("v_hat, p, epsilon, expected", [
+    pytest.param([1.0, 2.0, 3.0], 0.0, 1e-8, 0.2, id="p0"),
+    # a zero base at p = 0: 0.0**0.0 is 1, so the coordinate is not dead
+    pytest.param([0.0, 2.0, 3.0], 0.0, 0.0, 0.2, id="p0-eps0-zero-vhat"),
+    pytest.param([4.0, 4.0], 0.5, 0.0, 0.1, id="uniform"),
+])
+def test_effective_lr_bounds_p_zero_and_uniform(v_hat, p, epsilon, expected):
+    v_hat = np.array(v_hat)
+    st = OptState(m=np.zeros_like(v_hat), v=v_hat, v_hat=v_hat, t=1)
+    assert effective_lr_bounds(st, 0.2, p, epsilon) == (expected, expected)
+    # a step whose squared gradient stays below v_hat leaves it unchanged
+    g = np.where(v_hat > 0.0, 0.5, 0.0)
+    _, out = padam_step(st, np.ones_like(v_hat), g, 0.2,
+                        PadamConfig(p=p, epsilon=epsilon))
+    assert (out.effective_lr_min, out.effective_lr_max) == (expected, expected)
+    assert np.isfinite(out.new_x).all()
 
 
 def test_effective_lr_bounds_requires_started_state():

@@ -253,6 +253,7 @@ def _spike_problem() -> StochasticProblem:
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mixed_block_nonfinite_new_iterate():
     spec = RunSpec(problem=_spike_problem(), optimizer="sgdm",
                    opt_params={}, schedule=Schedule("constant", 10.0),

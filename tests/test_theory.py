@@ -40,8 +40,9 @@ REF = BoundInputs(
 
 
 def dense_padam_trace(steps=40, noise=0.1, seed=0, p=0.125, epsilon=1e-8,
-                      lr=0.05, start=None):
-    prob = make_quadratic(3, condition_number=5.0, noise=noise)
+                      lr=0.05, start=None, prob=None):
+    if prob is None:
+        prob = make_quadratic(3, condition_number=5.0, noise=noise)
     if start is not None:
         prob = prob.with_start(start)
     cfg = PadamConfig(beta1=0.9, beta2=0.999, p=p, epsilon=epsilon)
@@ -223,8 +224,15 @@ def test_trajectory_checks_need_dense_channels():
         run_trajectory_checks(trace, prob, cfg)
 
 
-def test_trajectory_checks_epsilon_zero_trace():
-    prob, cfg, trace = dense_padam_trace(steps=50, epsilon=0.0, seed=4)
+@pytest.mark.parametrize("kwargs, dead_coords", [
+    pytest.param({"seed": 4}, False, id="quadratic"),
+    # p = 0 while some coordinates are still unrevealed, their v_hat 0
+    pytest.param({"p": 0.0, "prob": make_sparse_growth(6, 0.1)}, True,
+                 id="sparse-growth-p0"),
+])
+def test_trajectory_checks_epsilon_zero_trace(kwargs, dead_coords):
+    prob, cfg, trace = dense_padam_trace(steps=50, epsilon=0.0, **kwargs)
+    assert (trace.dense["vhat"] == 0.0).any() == dead_coords
     results = run_trajectory_checks(trace, prob, cfg)
     for name, res in results.items():
         assert res.status == "pass", f"{name}: {res.detail}"

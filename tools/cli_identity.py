@@ -47,6 +47,10 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
                   "--steps", "40"], {}),
     "run-sparse-seeds17": (["run", "--problem", "sparse-growth", "--rho",
                             "0.5", "--steps", "60", "--seeds", "17"], {}),
+    # p = 0 with eps = 0 on coordinates whose v_hat is still exactly 0
+    "run-p0-eps0": (["run", "--problem", "sparse-growth", "--sparsity", "0.1",
+                     "--p", "0", "--epsilon", "0", "--steps", "40",
+                     "--seeds", "3"], {}),
     "run-preset": (["run", "--problem", "quadratic", "--preset", "lstm",
                     "--steps", "30"], {}),
     "run-diverging": (["run", "--problem", "rosenbrock", "--optimizer",
