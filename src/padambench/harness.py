@@ -292,14 +292,16 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
         gns = gns_col[:, i] = _rowdot(g_exact, g_exact)
         g = stoch_grad(x, sample_xi(rngs, t))
         # rows stopping at the loss check, which precedes the box check
-        at_loss = live & ~(np.isfinite(f) & np.isfinite(gns))
+        ok = math.isfinite(f.sum() + gns.sum() + g.sum())  # then none stops
+        at_loss = live & (not ok and ~(np.isfinite(f) & np.isfinite(gns)))
         if None in box_exit and np.abs(x).max() > prob.box:
             for j in np.flatnonzero(np.abs(x).max(axis=1) > prob.box):
                 if box_exit[j] is None and not at_loss[j]:
                     box_exit[j] = t
         lr_t = schedule_lr(spec.schedule, t)
-        stop = np.flatnonzero(at_loss | live & ~np.isfinite(g).all(axis=1))
-        if stop.size:
+        stop = () if ok else np.flatnonzero(
+            at_loss | live & ~np.isfinite(g).all(axis=1))
+        if len(stop):
             if halt(stop, t - 1):
                 break
             x = live_rows(x)

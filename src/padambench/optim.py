@@ -127,7 +127,7 @@ def _prepare(state: OptState, x: np.ndarray, g: np.ndarray, lr: float):
         raise DimensionError(
             f"state is {state.m.shape}, inputs are {x.shape}"
         )
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericError("gradient contains nonfinite entries")
     if lr < 0.0:
         raise ValueError(f"learning rate must be nonnegative, got {lr}")
@@ -136,30 +136,34 @@ def _prepare(state: OptState, x: np.ndarray, g: np.ndarray, lr: float):
 
 def _lr_range(lr: float, denom: np.ndarray):
     """``lr`` over the largest and the smallest denominator, ``inf`` where
-    that denominator is zero: floats for one iterate, lists of floats with
-    one entry per row for a ``(S, d)`` block."""
+    that is zero (floats for one iterate, per-row lists for a ``(S, d)``
+    block), and whether every smallest denominator is ``> 0``."""
     if denom.ndim == 1:
         dmin = float(denom.min())
         dmax = float(denom.max())
         lo = lr / dmax if dmax > 0.0 else math.inf
         hi = lr / dmin if dmin > 0.0 else math.inf
-        return lo, hi
+        return lo, hi, dmin > 0.0
+    mins = denom.min(axis=-1).tolist()
     return ([lr / d if d > 0.0 else math.inf
              for d in denom.max(axis=-1).tolist()],
-            [lr / d if d > 0.0 else math.inf
-             for d in denom.min(axis=-1).tolist()])
+            [lr / d if d > 0.0 else math.inf for d in mins],
+            all(d > 0.0 for d in mins))
 
 
-def _guarded_update(
-    lr: float, m: np.ndarray, denom: np.ndarray, strict: bool
-) -> np.ndarray:
-    """``lr * m / denom``, zero where ``denom`` is zero; with ``strict``,
-    zero meeting nonzero ``m`` raises ``NumericError`` instead. Under
+def _guarded_update(lr: float, m: np.ndarray, denom: np.ndarray,
+                    strict: bool):
+    """``lr * m / denom``, zero where ``denom`` is zero, and ``_lr_range``'s
+    extremes, whose row minima are the zero test; with ``strict``, zero
+    meeting nonzero ``m`` raises ``NumericError`` instead. Under
     ``epsilon = 0`` that happens on a coordinate whose every gradient so
     far is below roughly 1e-161 in magnitude (at ``b2 = 0.999``), not all
-    zero: ``(1-b2)*g*g`` underflows to zero while ``(1-b1)*g`` does not."""
-    if not (denom == 0.0).any():
-        return lr * m / denom
+    zero: ``(1-b2)*g*g`` underflows to zero while ``(1-b1)*g`` does not.
+    At d = 1e5 the callers' temporaries decide whether glibc trims and
+    regrows its heap each step: ``base`` held, or the root taken in place."""
+    lo, hi, positive = _lr_range(lr, denom)
+    if positive:  # else the masked division, equal where nothing is zero
+        return lr * m / denom, lo, hi
     dead = denom == 0.0
     if strict:
         bad = np.flatnonzero(dead & (m != 0.0))
@@ -167,7 +171,7 @@ def _guarded_update(
             raise NumericError(
                 f"zero denominator with nonzero momentum at coordinate {bad[0]}"
             )
-    return np.where(dead, 0.0, lr * m / np.where(dead, 1.0, denom))
+    return np.where(dead, 0.0, lr * m / np.where(dead, 1.0, denom)), lo, hi
 
 
 def padam_step(
@@ -197,8 +201,7 @@ def padam_step(
 
     base = v_hat + cfg.epsilon
     denom = base**cfg.p
-    update = _guarded_update(lr, m, denom, strict=True)
-    lo, hi = _lr_range(lr, denom)
+    update, lo, hi = _guarded_update(lr, m, denom, strict=True)
     return new_state, StepOutcome(x - update, lo, hi)
 
 
@@ -225,8 +228,7 @@ def amsgrad_step(
 
     base = v_hat + epsilon
     denom = np.sqrt(base)
-    update = _guarded_update(lr, m, denom, strict=True)
-    lo, hi = _lr_range(lr, denom)
+    update, lo, hi = _guarded_update(lr, m, denom, strict=True)
     return new_state, StepOutcome(x - update, lo, hi)
 
 
@@ -249,9 +251,9 @@ def adam_step(
     v = beta2 * state.v + (1.0 - beta2) * g * g
     new_state = OptState(m=m, v=v, v_hat=state.v_hat, t=state.t + 1)
 
-    denom = np.sqrt(v + epsilon)
-    update = _guarded_update(lr, m, denom, strict=False)
-    lo, hi = _lr_range(lr, denom)
+    denom = v + epsilon
+    np.sqrt(denom, out=denom)
+    update, lo, hi = _guarded_update(lr, m, denom, strict=False)
     return new_state, StepOutcome(x - update, lo, hi)
 
 
@@ -315,9 +317,9 @@ def adagrad_step(
     new_state = OptState(m=state.m, v=v, v_hat=state.v_hat, t=t)
 
     alpha_t = lr / math.sqrt(t)
-    denom = np.sqrt(v + epsilon)
-    update = _guarded_update(alpha_t, g, denom, strict=False)
-    lo, hi = _lr_range(alpha_t, denom)
+    denom = v + epsilon
+    np.sqrt(denom, out=denom)
+    update, lo, hi = _guarded_update(alpha_t, g, denom, strict=False)
     return new_state, StepOutcome(x - update, lo, hi)
 
 
@@ -332,7 +334,7 @@ def effective_lr_bounds(
     if state.t < 1:
         raise ValueError("effective lr is undefined before the first step")
     denom = (state.v_hat + epsilon) ** p
-    return _lr_range(lr, denom)
+    return _lr_range(lr, denom)[:2]
 
 
 @dataclass(frozen=True)

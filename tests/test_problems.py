@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,18 +332,26 @@ def test_mlp_loss_after_exact_grad_matches_frozen_formula():
         assert prob.loss(x) == want_moved
 
 
+def _frozen_mlp_loss(z, feats, labels):
+    """The frozen formula's loss, row by row on a block."""
+    if z.ndim == 1:
+        return _frozen_mlp_eval(z, feats, labels, False)[0]
+    return np.array([_frozen_mlp_eval(row, feats, labels, False)[0]
+                     for row in z])
+
+
 def test_mlp_finite_diff_interleaved_with_exact_grad():
     prob = make_mlp(task_seed=7)
     feats, labels = prob.meta["features"], prob.meta["labels"]
     frozen = dataclasses.replace(
-        prob, loss=lambda z: _frozen_mlp_eval(z, feats, labels, False)[0])
+        prob, loss=lambda z: _frozen_mlp_loss(z, feats, labels))
     rng = np.random.default_rng(20)
     h = 1e-6
     for _ in range(2):
         x = 0.3 * rng.standard_normal(prob.dim)
-        bump = np.zeros_like(x)
-        bump[0] = h
-        prob.exact_grad(x + bump)  # the first point finite_diff_grad asks
+        bump = np.zeros((16, prob.dim))
+        bump[np.arange(16), np.arange(16)] = h
+        prob.exact_grad(x + bump)  # the first block finite_diff_grad asks
         fd = finite_diff_grad(prob, x, h)
         assert fd.tobytes() == finite_diff_grad(frozen, x, h).tobytes()
         prob.exact_grad(x)
@@ -372,3 +381,54 @@ def test_finite_diff_quadratic_near_exact():
     x = np.array([0.3, -0.7, 1.1])
     fd = finite_diff_grad(prob, x, h=1e-5)
     np.testing.assert_allclose(fd, prob.exact_grad(x), rtol=1e-9, atol=1e-10)
+
+
+def _lone_central_differences(f, x, h):
+    """The central-difference loop, one probe point per call."""
+    out = np.empty_like(x)
+    for i in range(x.size):
+        bump = np.zeros_like(x)
+        bump[i] = h
+        out[i] = (f(x + bump) - f(x - bump)) / (2.0 * h)
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_quadratic(7, condition_number=8.0, noise=0.1),
+    lambda: make_quadratic(40, condition_number=8.0, noise=0.1),
+    lambda: make_rosenbrock(6),
+    lambda: make_logistic(5, 80, seed=1),
+    lambda: make_sparse_growth(9, sparsity=0.5, seed=2, rho=0.3),
+    lambda: make_mlp(4),
+], ids=["quadratic", "quadratic-40", "rosenbrock", "logistic",
+        "sparse-growth", "mlp-210"])
+def test_finite_diff_blocks_equal_lone_probes(make):
+    # the probes go to the oracle in blocks of up to 16 rows; every entry
+    # is bitwise the lone two-call difference, exact and at a fixed draw
+    prob = make()
+    rng = np.random.default_rng(21)
+    for scale in (0.2, 3.0):
+        x = scale * rng.standard_normal(prob.dim)
+        x[0] = -0.0  # -0.0 + 0.0 is +0.0 on the rows that do not probe it
+        xi = prob.sample_xi(rng, 4)
+        want = _lone_central_differences(prob.loss, x, 1e-6)
+        assert finite_diff_grad(prob, x, 1e-6).tobytes() == want.tobytes()
+        want = _lone_central_differences(
+            lambda z: prob.stoch_loss(z, xi), x, 1e-6)
+        got = finite_diff_grad(prob, x, 1e-6, xi=xi)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_finite_diff_memory_is_linear_in_dim():
+    # blocks of 16 probe rows: about 0.5 MiB each at d = 4,000, where a
+    # (d, d) identity would take 122 MiB
+    prob = make_quadratic(4000, condition_number=10.0, noise=0.1)
+    x = 0.1 * np.random.default_rng(22).standard_normal(prob.dim)
+    tracemalloc.start()
+    try:
+        fd = finite_diff_grad(prob, x, h=1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    np.testing.assert_allclose(fd, prob.exact_grad(x), rtol=1e-6, atol=1e-8)

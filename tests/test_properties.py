@@ -5,22 +5,29 @@ the effective-lr extrema and coordinates that never see a gradient.
 Streams have at most 8 coordinates, at most 20 steps and entries bounded
 by 1e3 in magnitude.
 
-Also the problems' block contract: on a block of 1 to 17 random points,
-every oracle equals its row-by-row calls byte for byte, and ``sample_xi``
-on S generators equals S lone draws.
+Also exact-zero denominators (``epsilon = 0``) on random states, lone and
+in blocks, and the problems' block contract: on a block of 1 to 17 random
+points, every oracle equals its row-by-row calls byte for byte, and
+``sample_xi`` on S generators equals S lone draws; the value oracles also
+on fresh blocks of up to 40 points.
 """
 
 import dataclasses
+import math
 from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from padambench.optim import (
     NumericError,
+    OptState,
     PadamConfig,
+    adagrad_step,
+    adam_step,
     amsgrad_step,
     effective_lr_bounds,
     init_state,
@@ -133,6 +140,124 @@ def test_dead_coordinates_never_raise_or_move(cfg, stream, data):
             assert out.new_x[k] == x0[k]
 
 
+B1, B2 = 0.9, 0.999
+
+
+def _moments(state, g):
+    """The new momentum, second moment and its running maximum, written
+    as the step rules write them."""
+    v = B2 * state.v + (1.0 - B2) * g * g
+    return B1 * state.m + (1.0 - B1) * g, v, np.maximum(state.v_hat, v)
+
+
+def _adagrad_terms(state, g):
+    t = state.t + 1
+    v = ((t - 1) * state.v + g * g) / t
+    return g, np.sqrt(v + 0.0), LR / math.sqrt(t)
+
+
+def _padam_terms(p):
+    def terms(state, g):
+        m, _, v_hat = _moments(state, g)
+        return m, (v_hat + 0.0) ** p, LR
+    return terms
+
+
+def _sqrt_terms(state, g, use_max):
+    m, v, v_hat = _moments(state, g)
+    return m, np.sqrt((v_hat if use_max else v) + 0.0), LR
+
+
+# name -> (step at epsilon = 0, strict, its numerator, denominator and lr)
+ZERO_EPS_RULES = {
+    **{f"padam-p{p}": (
+        partial(padam_step, lr=LR,
+                cfg=PadamConfig(beta1=B1, beta2=B2, p=p, epsilon=0.0)),
+        True, _padam_terms(p)) for p in (0.0, 0.125, 0.5)},
+    "amsgrad": (partial(amsgrad_step, lr=LR, beta1=B1, beta2=B2, epsilon=0.0),
+                True, partial(_sqrt_terms, use_max=True)),
+    "adam": (partial(adam_step, lr=LR, beta1=B1, beta2=B2, epsilon=0.0),
+             False, partial(_sqrt_terms, use_max=False)),
+    "adagrad": (partial(adagrad_step, lr=LR, epsilon=0.0), False,
+                _adagrad_terms),
+}
+
+# entries that are exactly zero often, and gradients whose square underflows
+_maybe_zero = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+_moment = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+_grad = st.one_of(st.just(0.0), st.just(1e-170), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def zero_denominator_cases(draw):
+    """A state, gradient and iterate of shape ``(S, d)``, one row all zero
+    when drawn so, and the step count."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+    m, x = (draw(arrays(np.float64, shape, elements=_maybe_zero))
+            for _ in range(2))
+    v, v_hat = (draw(arrays(np.float64, shape, elements=_moment))
+                for _ in range(2))
+    g = draw(arrays(np.float64, shape, elements=_grad))
+    zero_row = draw(st.one_of(st.none(), st.integers(0, shape[0] - 1)))
+    if zero_row is not None:
+        for a in (m, v, v_hat, g):
+            a[zero_row] = 0.0
+    return OptState(m=m, v=v, v_hat=v_hat, t=draw(st.integers(0, 5))), g, x
+
+
+def _check_zero_denominators(step, strict, terms, state, g, x):
+    """One step on ``state``: the update is zero exactly where the
+    denominator is, it raises exactly when a zero denominator meets
+    nonzero momentum, and an effective lr is inf exactly where that
+    extreme denominator is zero. Returns the outcome, or None on a raise."""
+    num, denom, lr = terms(state, g)
+    dead = denom == 0.0
+    bad = strict and bool((dead & (num != 0.0)).any())
+    try:
+        new_state, out = step(state, x, g)
+    except NumericError:
+        assert bad
+        return None
+    assert not bad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moved = x - lr * num / denom
+    assert out.new_x[dead].tobytes() == x[dead].tobytes()
+    assert out.new_x[~dead].tobytes() == moved[~dead].tobytes()
+    rows = denom.reshape(-1, denom.shape[-1])
+    lows = np.atleast_1d(out.effective_lr_min)
+    highs = np.atleast_1d(out.effective_lr_max)
+    for row, lo, hi in zip(rows, lows, highs):
+        assert math.isinf(lo) == (row.max() == 0.0)
+        assert math.isinf(hi) == (row.min() == 0.0)
+    return new_state, out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(ZERO_EPS_RULES)), zero_denominator_cases())
+def test_zero_denominators_lone_and_in_blocks(name, case):
+    step, strict, terms = ZERO_EPS_RULES[name]
+    state, g, x = case
+    block = _check_zero_denominators(step, strict, terms, state, g, x)
+    lone = []
+    for j in range(len(x)):
+        row = OptState(m=state.m[j], v=state.v[j], v_hat=state.v_hat[j],
+                       t=state.t)
+        lone.append(_check_zero_denominators(step, strict, terms, row,
+                                             g[j], x[j]))
+    # a block raises exactly when one of its rows raises alone
+    assert (block is None) == any(r is None for r in lone)
+    if block is None:
+        return
+    new_state, out = block
+    for j, (row_state, row_out) in enumerate(lone):
+        assert out.new_x[j].tobytes() == row_out.new_x.tobytes()
+        for field in ("m", "v", "v_hat"):
+            assert (getattr(new_state, field)[j].tobytes()
+                    == getattr(row_state, field).tobytes())
+        assert out.effective_lr_min[j] == row_out.effective_lr_min
+        assert out.effective_lr_max[j] == row_out.effective_lr_max
+
+
 PROBLEMS = {
     "quadratic": make_quadratic(7, condition_number=8.0, noise=0.1),
     "rosenbrock": make_rosenbrock(5),
@@ -186,3 +311,21 @@ def test_block_oracles_equal_row_calls_wide_quadratic():
     problem = make_quadratic(100_000, condition_number=10.0, noise=0.1)
     X = 0.1 * np.random.default_rng(3).standard_normal((3, problem.dim))
     _assert_block_contract(problem, X, [5, 6, 7], 1)
+
+
+@pytest.mark.parametrize("S", [2, 16, 17, 40])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_fresh_value_blocks_equal_row_calls(name, S):
+    # loss and stoch_loss with no exact_grad before them: the MLP's block
+    # loss is then its own stacked pass, in slices of up to 16 rows
+    problem = make_mlp(2) if name == "mlp" else PROBLEMS[name]
+    rng = np.random.default_rng(S)
+    scales = rng.choice([0.1, 1.0, 50.0], size=(S, 1))
+    X = scales * rng.standard_normal((S, problem.dim))
+    seeds = range(S)
+    xi = problem.sample_xi([np.random.default_rng(s) for s in seeds], 1)
+    lone = [problem.sample_xi(np.random.default_rng(s), 1) for s in seeds]
+    block = problem.stoch_loss(X, xi)
+    _same_bytes(block, [problem.stoch_loss(x, d) for x, d in zip(X, lone)])
+    block = problem.loss(X)
+    _same_bytes(block, [problem.loss(x) for x in X])
