@@ -621,9 +621,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return _DISPATCH[args.command](args)
-    except HypothesisError as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return 3
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

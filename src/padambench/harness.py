@@ -41,7 +41,6 @@ __all__ = [
     "repeat_runs",
     "run",
     "schedule_lr",
-    "select_output",
     "select_output_indices",
     "write_trace_csv",
 ]
@@ -416,19 +415,6 @@ def select_output_indices(
     cdf = _selection_cdf(trace, schedule)
     draws = rng.random(n_draws)
     return np.searchsorted(cdf, draws, side="right").astype(np.int64) + 2
-
-
-def select_output(
-    trace: Trace, schedule: Schedule | None, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Draw the returned iterate by the rule of ``select_output_indices``.
-
-    Requires dense recording, since the iterate itself is returned.
-    """
-    if trace.dense is None or "x" not in trace.dense:
-        raise ValueError("select_output needs a trace with dense recording")
-    t_out = int(select_output_indices(trace, schedule, rng, 1)[0])
-    return t_out, trace.dense["x"][t_out - 1].copy()
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -166,10 +166,12 @@ def _guarded_update(lr: float, m: np.ndarray, denom: np.ndarray,
         return lr * m / denom, lo, hi
     dead = denom == 0.0
     if strict:
-        bad = np.flatnonzero(dead & (m != 0.0))
+        bad = np.argwhere(dead & (m != 0.0))
         if bad.size:
+            *row, col = bad[0]  # a block names its row too
+            at = f"row {row[0]}, " if row else ""
             raise NumericError(
-                f"zero denominator with nonzero momentum at coordinate {bad[0]}"
+                f"zero denominator with nonzero momentum at {at}coordinate {col}"
             )
     return np.where(dead, 0.0, lr * m / np.where(dead, 1.0, denom)), lo, hi
 

@@ -446,7 +446,8 @@ def make_mlp(task_seed: int) -> StochasticProblem:
 
     def full_batch(x, want_grad):
         # value pass stacked, 93-95 us a row at 4-32 rows (117 lone, 2 cores);
-        # gradient pass row by row: stacked at S = 2, mlp-compare took +20%
+        # gradient pass row by row: stacked, `compare --problem mlp` was slower
+        # in 9 of 12 pairs, at 83,700 minor page faults an operation, not 18
         if x.ndim == 1:
             return _mlp_eval(x, feats, labels, want_grad)
         if not want_grad:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import RunSpec, Schedule, Trace, iter_runs, select_output
+from .harness import (RunSpec, Schedule, Trace, iter_runs,
+                      select_output_indices)
 from .optim import REGISTRY, PadamConfig
 from .problems import StochasticProblem, _rowdot
 
@@ -345,12 +346,11 @@ def check_smoothness_gap(
     trace: Trace,
     problem: StochasticProblem,
     cfg: PadamConfig,
-    smoothness: float | None = None,
 ) -> CheckResult:
     """The gradient gap between the corrected and the raw iterate is
     controlled by smoothness times the last displacement."""
     name = "smoothness_gap"
-    L = smoothness if smoothness is not None else problem.known_L
+    L = problem.known_L
     if L is None:
         return CheckResult(name, "inapplicable", 0.0,
                            "problem has no smoothness certificate")
@@ -400,7 +400,6 @@ def check_update_energy(
     trace: Trace,
     cfg: PadamConfig,
     g_inf: float | None,
-    q: float | None = None,
 ) -> CheckResult:
     """Cumulative scaled update energy against its closed-form budget, in
     both the momentum and the raw-gradient variants. Stated for constant
@@ -419,7 +418,7 @@ def check_update_energy(
     if gamma >= 1.0:
         return CheckResult(name, "inapplicable", 0.0,
                            "needs beta1/beta2^(2p) below 1")
-    q_val = _resolve_q(cfg.p, q)
+    q_val = _resolve_q(cfg.p, None)
     x, g, m, vhat, _ = _dense_arrays(trace)
     steps, dim = g.shape
     alpha = float(alphas[0])
@@ -450,7 +449,6 @@ def run_trajectory_checks(
     trace: Trace,
     problem: StochasticProblem,
     cfg: PadamConfig | None = None,
-    q: float | None = None,
 ) -> dict[str, CheckResult]:
     """Run every per-step check against one densely recorded trace."""
     opt = trace.meta.get("optimizer")
@@ -466,7 +464,7 @@ def run_trajectory_checks(
         check_z_step_bound(trace, cfg),
         check_smoothness_gap(trace, problem, cfg),
         check_moment_bounds(trace, problem.known_G_inf),
-        check_update_energy(trace, cfg, problem.known_G_inf, q=q),
+        check_update_energy(trace, cfg, problem.known_G_inf),
     ]
     return {r.name: r for r in results}
 
@@ -516,15 +514,16 @@ def verify_bound(
     steps: int,
     n_seeds: int,
     seed: int = 0,
-    q: float | None = None,
 ) -> TheoryReport:
     """Run the method, measure the left side, evaluate the right side.
 
     All replicas share one initial point (drawn from ``seed``) and use
     noise streams ``seed+1 .. seed+n_seeds``. The growth exponent entering
     the bound is the largest pathwise estimate across replicas, so the
-    hypothesis it encodes holds on every observed stream. Divergence or a
-    box exit marks the report inapplicable instead of raising.
+    hypothesis it encodes holds on every observed stream. The left side
+    and ``f(x_1)`` are read from the recorded ``grad_norm_sq`` and ``loss``
+    columns. Divergence or a box exit marks the report inapplicable
+    instead of raising.
     """
     if problem.known_L is None or problem.known_G_inf is None \
             or problem.known_f_star is None:
@@ -561,9 +560,8 @@ def verify_bound(
             notes.append(
                 f"replica {k} left the certified box at step {trace.box_exit}"
             )
-        x1 = trace.dense["x"][0]
         if delta_f is None:
-            delta_f = problem.loss(x1) - problem.known_f_star
+            delta_f = float(trace.loss[0]) - problem.known_f_star
         raw1 = _inverse_powers(trace.dense["vhat"][0], cfg)
         if np.isinf(raw1).any():
             applicable = False
@@ -575,11 +573,10 @@ def verify_bound(
             vhat1_parts.append(float(np.sum(raw1)))
         est = estimate_growth_s(trace.dense["g"], g_inf=problem.known_G_inf)
         fitted = max(fitted, est.s)
-        _keep_worst(agg, run_trajectory_checks(trace, problem, cfg, q=q))
+        _keep_worst(agg, run_trajectory_checks(trace, problem, cfg))
         out_rng = np.random.default_rng(seed + 777_000 + k)
-        _, x_out = select_output(trace, None, out_rng)
-        g_out = problem.exact_grad(x_out)
-        lhs_parts.append(float(g_out @ g_out))
+        t_out = select_output_indices(trace, None, out_rng, 1)[0]
+        lhs_parts.append(float(trace.grad_norm_sq[t_out - 1]))
 
     if not lhs_parts or delta_f is None:
         raise HypothesisError("every replica diverged; nothing to verify")
@@ -597,7 +594,6 @@ def verify_bound(
         p=cfg.p,
         vhat1_term=vhat1_term,
         s=fitted,
-        q=q,
     )
     constants = bound_constants(inputs)
     bound = bound_value(inputs)

@@ -18,7 +18,6 @@ from padambench.harness import (
     repeat_runs,
     run,
     schedule_lr,
-    select_output,
     select_output_indices,
     write_trace_csv,
 )
@@ -229,33 +228,14 @@ def test_run_box_exit_detection():
 # ----------------------------------------------------------- output choice
 
 
-def test_select_output_bounds_and_reproducibility():
-    trace = run(quad_spec(steps=12, record_dense=True))
-    t1, x1 = select_output(trace, None, np.random.default_rng(0))
-    t2, x2 = select_output(trace, None, np.random.default_rng(0))
-    assert t1 == t2 and 2 <= t1 <= 12
-    np.testing.assert_array_equal(x1, x2)
-    np.testing.assert_array_equal(x1, trace.dense["x"][t1 - 1])
-
-
 def test_select_output_inv_sqrt_frozen_weight():
     # T=3: candidates are t in {2, 3} weighted by lr at t-1.
     # P(t=2) = 1 / (1 + 1/sqrt(2)) = 0.58578643762690497
     sched = Schedule("inv_sqrt", 0.2)
-    trace = run(quad_spec(schedule=sched, steps=3, record_dense=True))
-    rng = np.random.default_rng(1)
-    hits = sum(select_output(trace, sched, rng)[0] == 2 for _ in range(200_000))
+    trace = run(quad_spec(schedule=sched, steps=3))
+    idx = select_output_indices(trace, sched, np.random.default_rng(1), 200_000)
+    hits = int((idx == 2).sum())
     np.testing.assert_allclose(hits / 200_000, 0.58578643762690497, atol=0.005)
-
-
-def test_select_output_indices_matches_scalar_path():
-    trace = run(quad_spec(steps=9, record_dense=True))
-    idx = select_output_indices(trace, None, np.random.default_rng(3), 500)
-    loop = [select_output(trace, None, np.random.default_rng(3))[0]
-            for _ in range(1)]
-    assert idx.shape == (500,)
-    assert idx.min() >= 2 and idx.max() <= 9
-    assert idx[0] == loop[0]
 
 
 def test_select_output_constant_schedule_uniform():

@@ -122,6 +122,21 @@ def test_epsilon_zero_underflowing_gradient_raises(rule):
     assert st.v_hat[0] > 0.0 and np.all(np.isfinite(out.new_x))
 
 
+def test_block_zero_denominator_names_row_and_coordinate():
+    # the lone step names the coordinate; a block names the row with it
+    cfg = PadamConfig(epsilon=0.0)
+    g = np.ones((3, 4))
+    g[2, 1] = 1e-170
+    block = OptState(m=np.zeros((3, 4)), v=np.zeros((3, 4)),
+                     v_hat=np.zeros((3, 4)))
+    with pytest.raises(NumericError) as lone:
+        padam_step(init_state(4), np.ones(4), g[2], 0.1, cfg)
+    assert str(lone.value).endswith("at coordinate 1")
+    with pytest.raises(NumericError) as rows:
+        padam_step(block, np.ones((3, 4)), g, 0.1, cfg)
+    assert str(rows.value).endswith("at row 2, coordinate 1")
+
+
 BLOCK_RULES = {
     "padam": lambda s, x, g, lr: padam_step(s, x, g, lr,
                                             PadamConfig(p=0.3, epsilon=0.0)),

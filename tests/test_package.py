@@ -19,8 +19,8 @@ EARLIER_NAMES = {
     "make_logistic", "make_mlp", "make_quadratic", "make_rosenbrock",
     "make_sparse_growth", "mean_channel", "optimal_alpha", "padam_step",
     "read_trace_csv", "repeat_runs", "report_to_dict", "run",
-    "run_trajectory_checks", "schedule_lr", "select_output",
-    "select_output_indices", "sgd_momentum_step", "verify_bound",
+    "run_trajectory_checks", "schedule_lr", "select_output_indices",
+    "sgd_momentum_step", "verify_bound",
     "write_trace_csv", "__version__",
 }
 
@@ -38,7 +38,7 @@ def test_each_name_is_the_module_object():
 
 
 def test_earlier_names_still_exported():
-    assert len(EARLIER_NAMES) == 54
+    assert len(EARLIER_NAMES) == 53
     assert EARLIER_NAMES <= set(padambench.__all__)
     for name in EARLIER_NAMES:
         assert hasattr(padambench, name), name

@@ -4,13 +4,20 @@ The frozen constants below were computed with standalone scalar arithmetic
 before the module existed; they pin the algebra, not the implementation.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from padambench.harness import RunSpec, Schedule, repeat_runs, run
+from padambench.harness import (
+    RunSpec,
+    Schedule,
+    repeat_runs,
+    run,
+    select_output_indices,
+)
 from padambench.optim import PadamConfig
 from padambench.problems import (
     make_logistic,
@@ -284,7 +291,8 @@ def test_smoothness_gap_matches_per_row_formula(problem):
                        seed=dim, record_dense=True)
         for trace in repeat_runs(spec, 3):
             for L in (prob.known_L, 0.01 * prob.known_L):
-                res = check_smoothness_gap(trace, prob, cfg, smoothness=L)
+                res = check_smoothness_gap(
+                    trace, dataclasses.replace(prob, known_L=L), cfg)
                 want = _smoothness_gap_per_row(trace, prob, cfg, L)
                 assert np.float64(res.margin).tobytes() == \
                     np.float64(want).tobytes(), (dim, L)
@@ -337,6 +345,47 @@ def test_verify_bound_deterministic():
     r2 = verify_bound(prob, cfg, alpha=0.02, steps=80, n_seeds=3, seed=2)
     assert r1.empirical_grad_norm_sq == r2.empirical_grad_norm_sq
     assert r1.bound == r2.bound
+
+
+_RECORDED = {
+    **_CERTIFIED,
+    # noise that can beat the pull back, from the box's edge: some
+    # replicas leave the box, and they still count in the left side
+    "box-exit": lambda d: make_quadratic(d, 10.0, noise=8.0).with_start(
+        np.r_[9.999, np.zeros(d - 1)]),
+}
+
+
+@pytest.mark.parametrize("p", [0.0, 0.125, 0.5])
+@pytest.mark.parametrize("case", sorted(_RECORDED))
+def test_verify_bound_reads_what_the_run_recorded(case, p):
+    # delta_f and the left side, recomputed with the oracles at the dense
+    # iterates, are bitwise what verify_bound read from the trace columns
+    prob, cfg = _RECORDED[case](6), PadamConfig(p=p)
+    seed, n_seeds, steps, alpha = 3, 17, 40, 0.01  # 17 cross a block of 16
+    report = verify_bound(prob, cfg, alpha=alpha, steps=steps,
+                          n_seeds=n_seeds, seed=seed)
+    spec = RunSpec(problem=prob, optimizer="padam",
+                   opt_params=dataclasses.asdict(cfg),
+                   schedule=Schedule("constant", alpha), steps=steps,
+                   seed=seed + 1, init_seed=seed, record_dense=True)
+    traces = repeat_runs(spec, n_seeds)
+    lhs = []
+    for k, trace in enumerate(traces):
+        assert not trace.diverged
+        rng = np.random.default_rng(seed + 777_000 + k)
+        t_out = select_output_indices(trace, None, rng, 1)[0]
+        g = prob.exact_grad(trace.dense["x"][t_out - 1])
+        lhs.append(float(g @ g))
+    delta_f = max(prob.loss(traces[0].dense["x"][0]) - prob.known_f_star, 0.0)
+    empirical = math.fsum(lhs) / n_seeds
+    for got, want in ((report.inputs.delta_f, delta_f),
+                      (report.empirical_grad_norm_sq, empirical),
+                      (report.looseness, empirical / report.bound)):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    exits = sum(trace.box_exit is not None for trace in traces)
+    assert (0 < exits < n_seeds) == (case == "box-exit"), exits
+    assert report.applicable == (exits == 0)
 
 
 def test_verify_bound_zero_first_step_denominator():

@@ -10,6 +10,7 @@ Measures the checkout ``DIR`` (default: the one holding this script):
   ``--trace 1`` (per-layer metrics) on every workload that
   ``BENCHMARK.json`` lists, at seeds 0 and 15 (15 being a held-out seed
   that ``reference.json`` covers);
+- the wall time and the test count of the whole tier-1 suite;
 - the wall time that acceptance criteria 02, 04 and 08 report, each run
   alone with ``pytest -k``;
 - the line count of every module under ``src/padambench``.
@@ -17,7 +18,7 @@ Measures the checkout ``DIR`` (default: the one holding this script):
 Writes ``BENCH_<n>.json`` at the root of the checkout holding this script,
 so a parent checkout can be measured into the current tree. Each perfbench
 run lasts ``run_seconds`` of ``BENCHMARK.json`` plus set-up probes, about
-eight minutes in all on a 2-core host. Exits 1 when any perfbench run
+nine minutes in all on a 2-core host. Exits 1 when any perfbench run
 reports ``correct: false`` or fails.
 """
 
@@ -30,6 +31,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +67,21 @@ def _criterion_seconds(checkout: Path, tag: str, test: str) -> dict:
     return {"status": match.group(1), "elapsed_s": float(match.group(2))}
 
 
+def _tier1(checkout: Path) -> dict:
+    """Wall time of the whole tier-1 suite, and its tests by outcome."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    started = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - started
+    summary = out.stdout.strip().splitlines()[-1] if out.stdout.strip() else ""
+    counts = {kind: int(n) for n, kind in
+              re.findall(r"(\d+) (passed|failed|errors?|skipped)", summary)}
+    return {"wall_s": wall, "tests": sum(counts.values()), **counts}
+
+
 def _src_lines(checkout: Path) -> dict:
     files = sorted((checkout / "src" / "padambench").glob("*.py"))
     per_file = {f.name: len(f.read_text().splitlines()) for f in files}
@@ -88,6 +105,8 @@ def main(argv=None) -> int:
                 print(f"bench: {w} seed {seed} trace {trace}", flush=True)
                 workloads.setdefault(w, {})[f"seed{seed}_trace{trace}"] = \
                     _perfbench(checkout, w, seed, trace, seconds)
+    print("bench: tier-1", flush=True)
+    tier1 = _tier1(checkout)
     criteria = {}
     for tag, test in CRITERIA.items():
         print(f"bench: criterion {tag}", flush=True)
@@ -98,6 +117,7 @@ def main(argv=None) -> int:
                 "nproc": len(os.sched_getaffinity(0)),
                 "perfbench_seconds": seconds},
         "workloads": workloads,
+        "tier1": tier1,
         "criteria": criteria,
         "src_lines": _src_lines(checkout),
     }
