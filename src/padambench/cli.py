@@ -31,7 +31,6 @@ from .harness import (
     _atomic_write,
     _sidecar_path,
     _write_table,
-    iter_runs,
     mean_channel,
     repeat_runs,
     run,
@@ -56,10 +55,10 @@ from .problems import (
 from .theory import (
     HypothesisError,
     _check_records,
+    _folded_runs,
     _keep_worst,
     optimal_alpha,
     report_to_dict,
-    run_trajectory_checks,
     verify_bound,
 )
 
@@ -524,11 +523,10 @@ def _verify_trajectory(steps: int, seeds: int, seed: int, dim: int,
         schedule=Schedule("constant", lr),
         steps=steps,
         seed=seed,
-        record_dense=True,
     )
     worst: dict = {}
-    for trace in iter_runs(spec, seeds):
-        _keep_worst(worst, run_trajectory_checks(trace, problem, cfg))
+    for trace, fold, j in _folded_runs(spec, seeds, cfg):
+        _keep_worst(worst, fold.results(j, trace))
     return {
         "passed": all(r.status == "pass" for r in worst.values()),
         "steps": steps,

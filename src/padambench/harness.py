@@ -173,8 +173,19 @@ def _resolved_config(spec: RunSpec) -> dict:
     }
 
 
-# replicas advanced together; bounds the dense histories alive at once
-_BLOCK = 16
+# a block holds as many replicas as keep its arrays within this many bytes,
+# and at least 16: the (S, T) columns, the (S, d) state and temporaries, and
+# the dense histories or the window a fold reads. 80 MiB runs criterion
+# 04's 100 replicas of 10^4 steps at d = 10 as one block
+_BLOCK_BYTES = 80 << 20
+_STATE_ROWS = 10  # (S, d) arrays alive in a step: x, g, the state, temporaries
+# steps per window handed to a fold: at most _WINDOW, and fewer where a
+# window array would pass _WINDOW_FLOATS. Measured at d = 10: at 6 rows,
+# 128 steps save 0.1 us a replica-step over 64 but lift verify-all's peak
+# RSS by 0.5 MiB; at 100 rows, 64-step windows (512 KiB arrays) cost
+# 360,000 minor faults a 10^4-step run, 16-step windows 6,400
+_WINDOW = 64
+_WINDOW_FLOATS = 1 << 14
 
 
 def run(spec: RunSpec) -> Trace:
@@ -186,17 +197,30 @@ def run(spec: RunSpec) -> Trace:
     return _run_block(spec, [spec.seed])[0]
 
 
-def iter_runs(spec: RunSpec, n_seeds: int):
-    """Yield the traces of seeds ``spec.seed + k`` for ``k < n_seeds``, in
-    order. Replicas advance in blocks of at most 16, each run only when
-    the consumer reaches it; a block's traces share its arrays, which are
-    freed once its last trace is dropped."""
+def _blocks(spec: RunSpec, n_seeds: int, folded: bool = False):
+    """The seeds ``spec.seed + k``, ``k < n_seeds``, as the lists that
+    advance together: as many as fit ``_BLOCK_BYTES``, at least 16. A fold
+    (``folded``) adds its window, carry rows and back-half maxima."""
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
-    for first in range(0, n_seeds, _BLOCK):
-        last = min(first + _BLOCK, n_seeds)
-        yield from _run_block(
-            spec, [spec.seed + k for k in range(first, last)])
+    steps, d = spec.steps, spec.problem.dim
+    floats = len(_COLUMNS) * steps + _STATE_ROWS * d
+    if spec.record_dense:
+        floats += 4 * (steps + 1) * d
+    elif folded:  # the fold's temporaries fit _WINDOW_FLOATS, whatever S
+        floats += steps // 2 + 4 * (_WINDOW + 1) * d
+    rows = max(16, _BLOCK_BYTES // (8 * floats))
+    for first in range(0, n_seeds, rows):
+        yield [spec.seed + k for k in range(first, min(first + rows, n_seeds))]
+
+
+def iter_runs(spec: RunSpec, n_seeds: int):
+    """Yield the traces of seeds ``spec.seed + k`` for ``k < n_seeds``, in
+    order. Replicas advance in blocks (``_blocks``), each run only when
+    the consumer reaches it; a block's traces share its arrays, which are
+    freed once its last trace is dropped."""
+    for seeds in _blocks(spec, n_seeds):
+        yield from _run_block(spec, seeds)
 
 
 def repeat_runs(spec: RunSpec, n_seeds: int) -> list[Trace]:
@@ -220,7 +244,7 @@ def _raises(stepper, state: OptState, x, g, lr: float, j: int) -> bool:
 # overflow on a blown-up iterate, in the oracles or in the step rule, is the
 # divergence signal, not an error
 @np.errstate(over="ignore", invalid="ignore")
-def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
+def _run_block(spec: RunSpec, seeds: list[int], fold=None) -> list[Trace]:
     """Run ``spec`` once per seed, advancing the replicas together as
     ``(S, d)`` arrays; block row ``j`` is seed ``seeds[j]`` throughout.
 
@@ -232,6 +256,13 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
     stopped row is zeroed in ``x``, ``g`` and the state, which every step
     rule steps to zero without raising, and its trace is cut at its last
     recorded row. The oracles still evaluate it, at zero.
+
+    ``record_dense`` keeps the ``x``, ``g``, ``m`` and ``vhat`` histories
+    of every step. A ``fold`` gets them a window of steps at a time
+    instead, the last window cut short: ``fold.add(x, g, m, vhat,
+    lr)`` with ``x`` of shape ``(S, n + 1, d)``, the window's iterates and
+    the one after, and the others ``(S, n, d)`` and ``(S, n)``. A stopped
+    row's slots hold what the zeroed row steps to.
     """
     prob = spec.problem
     entry = REGISTRY[spec.optimizer]
@@ -248,10 +279,12 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
             x[j] = 0.1 * init_rng.standard_normal(d)
 
     cols = {name: np.empty((S, steps)) for name in _COLUMNS}
-    dense = None
-    if spec.record_dense:
-        dense = {name: np.empty((S, steps, d))
-                 for name in ("x", "g", "m", "vhat")}
+    width = steps if spec.record_dense else \
+        max(1, min(_WINDOW, _WINDOW_FLOATS // (S * d)))
+    rec = None  # a slot per step of the window, x one more
+    if spec.record_dense or fold is not None:
+        rec = {name: np.empty((S, width + (name == "x"), d))
+               for name in ("x", "g", "m", "vhat")}
     zeros = np.zeros((S, d))
     state = OptState(m=zeros, v=zeros.copy(), v_hat=zeros.copy())
     recorded = [steps] * S
@@ -323,16 +356,24 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
         cols["eff_lr_max"][:, i] = out.effective_lr_max
         cols["vhat_min"][:, i] = vhat.min(axis=1)
         cols["vhat_max"][:, i] = vhat.max(axis=1)
-        if dense is not None:
-            dense["x"][:, i] = x
-            dense["g"][:, i] = g
-            dense["m"][:, i] = state.m
-            dense["vhat"][:, i] = vhat
+        if rec is not None:
+            k = i % width
+            if k == 0:
+                rec["x"][:, 0] = x
+            rec["g"][:, k] = g
+            rec["m"][:, k] = state.m
+            rec["vhat"][:, k] = vhat
         if not np.isfinite(out.new_x).all():
             if halt(np.flatnonzero(~np.isfinite(out.new_x).all(axis=1)), t):
                 break
             out.new_x[~live] = 0.0  # the step's own array
         x = out.new_x
+        if rec is not None:
+            rec["x"][:, k + 1] = x
+            if fold is not None and (k == width - 1 or t == steps):
+                fold.add(rec["x"][:, :k + 2], rec["g"][:, :k + 1],
+                         rec["m"][:, :k + 1], rec["vhat"][:, :k + 1],
+                         cols["lr"][:, i - k:t])
     wall_ms = 1000.0 * (time.perf_counter() - started)
 
     config = _resolved_config(spec)
@@ -341,8 +382,8 @@ def _run_block(spec: RunSpec, seeds: list[int]) -> list[Trace]:
         n = recorded[r]
         diverged = x_final[r] is not None
         trace_dense = None
-        if dense is not None:
-            trace_dense = {k: v[r, :n] for k, v in dense.items()}
+        if spec.record_dense:
+            trace_dense = {k: v[r, :n] for k, v in rec.items()}
             trace_dense["x_final"] = x_final[r] if diverged else x[r].copy()
         meta = {
             "problem": prob.name,

@@ -274,7 +274,8 @@ def adamw_step(
         raise ValueError(f"weight decay must be nonnegative, got {weight_decay}")
     x64 = np.asarray(x, dtype=np.float64)
     new_state, out = adam_step(state, x, g, lr, beta1, beta2, epsilon)
-    new_x = out.new_x - lr * weight_decay * x64
+    new_x = out.new_x  # adam_step's own array
+    new_x -= lr * weight_decay * x64
     return new_state, StepOutcome(new_x, out.effective_lr_min,
                                   out.effective_lr_max)
 

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 NOISE_CLIP = 3.0  # gaussian gradient noise is truncated at +/- this many sd
-_STACK = 16  # rows per stacked slice: finite-difference probes, MLP loss
+_STACK = 16  # probe points per block of finite_diff_grad
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray):
@@ -364,6 +364,9 @@ _MLP_N = 1000
 _MLP_BATCH = 32
 _MLP_SEP = 1.8
 _MLP_FLIP = 0.04
+# rows per stacked value pass: each holds (rows, n, hidden) activations,
+# 0.5 MB at 4 rows, and the time per row is flat at 4-32 rows
+_MLP_STACK = 4
 
 
 def _mlp_unpack(theta: np.ndarray):
@@ -445,15 +448,16 @@ def make_mlp(task_seed: int) -> StochasticProblem:
     last = (None, 0.0)
 
     def full_batch(x, want_grad):
-        # value pass stacked, 93-95 us a row at 4-32 rows (117 lone, 2 cores);
-        # gradient pass row by row: stacked, `compare --problem mlp` was slower
-        # in 9 of 12 pairs, at 83,700 minor page faults an operation, not 18
+        # value pass in stacked slices of _MLP_STACK rows, 93-95 us a row
+        # (117 lone, 2 cores); gradient pass row by row: stacked, `compare
+        # --problem mlp` was slower in 9 of 12 pairs, at 83,700 minor page
+        # faults an operation, not 18
         if x.ndim == 1:
             return _mlp_eval(x, feats, labels, want_grad)
         if not want_grad:
             return np.concatenate([
-                _mlp_eval(x[k:k + _STACK], feats, labels, False)[0]
-                for k in range(0, len(x), _STACK)]), None
+                _mlp_eval(x[k:k + _MLP_STACK], feats, labels, False)[0]
+                for k in range(0, len(x), _MLP_STACK)]), None
         values, grads = zip(*[_mlp_eval(r, feats, labels, True) for r in x])
         return np.array(values), np.stack(grads)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import (RunSpec, Schedule, Trace, iter_runs,
+from .harness import (RunSpec, Schedule, Trace, _blocks, _run_block,
                       select_output_indices)
 from .optim import REGISTRY, PadamConfig
 from .problems import StochasticProblem, _rowdot
@@ -199,6 +199,55 @@ class GrowthEstimate:
     degenerate: bool
 
 
+class _GrowthFold:
+    """``estimate_growth_s`` over ``rows`` gradient streams of ``steps``
+    steps, fed ``(S, n, d)`` windows in order. Keeps the running
+    ``cumsum(g*g)`` as its last row, the largest ``|g|``, and the per-step
+    maxima of the running norms over the back half, which the slope fits;
+    ``cumsum`` adds step by step, so any split into windows gives the same
+    bits."""
+
+    def __init__(self, rows: int, steps: int):
+        self.steps, self.seen = steps, 0
+        self.cum = None  # sum of g*g per coordinate through the last window
+        self.g_max = np.full(rows, -math.inf)
+        self.tail = np.empty((rows, steps - steps // 2))
+
+    def add(self, g: np.ndarray) -> None:
+        sq = g * g
+        if self.cum is not None:
+            sq[:, 0] += self.cum
+        cum = np.cumsum(sq, axis=1)
+        self.cum = cum[:, -1].copy()
+        self.g_max = np.maximum(self.g_max, np.abs(g).max(axis=(1, 2)))
+        half, first, n = self.steps // 2, self.seen, g.shape[1]
+        lo = max(first, half)
+        if lo < first + n:
+            self.tail[:, lo - half:first + n - half] = \
+                np.sqrt(cum[:, lo - first:]).max(axis=-1)
+        self.seen += n
+
+    def estimate(self, j: int, g_inf: float | None) -> GrowthEstimate:
+        steps = self.steps
+        final_max = float(np.sqrt(self.cum[j]).max())
+        if final_max == 0.0:
+            return GrowthEstimate(s=0.0, slope=0.0, degenerate=True)
+        if g_inf is None:
+            g_inf = float(self.g_max[j])
+        raw = math.log(final_max / g_inf) / math.log(steps)
+        s = min(0.5, max(0.0, raw))
+
+        tail = np.arange(steps // 2, steps)
+        ys = self.tail[j]
+        keep = ys > 0.0
+        if keep.sum() >= 2:
+            slope = float(np.polyfit(np.log(tail[keep] + 1.0),
+                                     np.log(ys[keep]), 1)[0])
+        else:
+            slope = 0.0
+        return GrowthEstimate(s=s, slope=slope, degenerate=False)
+
+
 def estimate_growth_s(
     grads: np.ndarray, g_inf: float | None = None
 ) -> GrowthEstimate:
@@ -214,25 +263,9 @@ def estimate_growth_s(
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] < 2:
         raise ValueError("need a (T, d) gradient stream with T >= 2")
-    steps = grads.shape[0]
-    running = np.sqrt(np.cumsum(grads * grads, axis=0))
-    final_max = float(running[-1].max())
-    if final_max == 0.0:
-        return GrowthEstimate(s=0.0, slope=0.0, degenerate=True)
-    if g_inf is None:
-        g_inf = float(np.abs(grads).max())
-    raw = math.log(final_max / g_inf) / math.log(steps)
-    s = min(0.5, max(0.0, raw))
-
-    tail = np.arange(steps // 2, steps)
-    ys = running.max(axis=1)[tail]
-    keep = ys > 0.0
-    if keep.sum() >= 2:
-        slope = float(np.polyfit(np.log(tail[keep] + 1.0),
-                                 np.log(ys[keep]), 1)[0])
-    else:
-        slope = 0.0
-    return GrowthEstimate(s=s, slope=slope, degenerate=False)
+    fold = _GrowthFold(1, grads.shape[0])
+    fold.add(grads[None])
+    return fold.estimate(0, g_inf)
 
 
 # --------------------------------------------------------------------------
@@ -245,13 +278,6 @@ class CheckResult:
     status: str  # "pass" | "fail" | "inapplicable"
     margin: float
     detail: str = ""
-
-
-def _dense_arrays(trace: Trace):
-    if trace.dense is None or "x_final" not in trace.dense:
-        raise ValueError("this check needs a trace recorded with dense=True")
-    d = trace.dense
-    return d["x"], d["g"], d["m"], d["vhat"], d["x_final"]
 
 
 def _inverse_powers(vhat: np.ndarray, cfg: PadamConfig) -> np.ndarray:
@@ -267,42 +293,251 @@ def _scaled_denominators(raw: np.ndarray) -> np.ndarray:
     return np.where(raw == np.inf, 0.0, raw)
 
 
-def _z_sequence(x: np.ndarray, x_final: np.ndarray, c: float) -> np.ndarray:
-    """Momentum-corrected auxiliary sequence ``z_t = x_t + c (x_t - x_{t-1})``
-    for ``t = 1..n+1``, with ``x_0`` taken equal to ``x_1``."""
-    full = np.vstack([x, x_final])
-    z = full.copy()
-    z[1:] += c * (full[1:] - full[:-1])
-    return z
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Each row's norm, bitwise ``np.linalg.norm(row)`` (``norm(axis=1)``
+    sums pairwise instead)."""
+    return np.sqrt(_rowdot(a, a))
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, bitwise ``np.linalg.norm(a, axis=-1)``,
+    without its argument handling."""
+    return np.sqrt((a * a).sum(axis=-1))
+
+
+def _skip(name: str, why: str) -> CheckResult:
+    return CheckResult(name, "inapplicable", 0.0, why)
+
+
+def _with_prev(prev, a: np.ndarray) -> np.ndarray:
+    """``a`` shifted one step later along axis 1, the carried row ``prev``
+    (zeros before the first window) in front."""
+    head = np.zeros_like(a[:, :1]) if prev is None else prev
+    return np.concatenate([head, a[:, :-1]], axis=1)
+
+
+class _Fold:
+    """The five trajectory checks, ``estimate_growth_s`` and the first
+    ``v_hat`` of ``rows`` padam-family runs of ``steps`` steps, folded a
+    window at a time as ``harness._run_block`` hands the windows over.
+    ``add`` takes the window's iterates and the one after, ``(S, n + 1,
+    d)``, then its ``g``, ``m`` and ``vhat``, ``(S, n, d)``, and lrs,
+    ``(S, n)``. The fold carries one previous row, each check's running
+    worst and the update energies, summed step by step; every split into
+    windows gives the same bits. The ``check_*`` functions run it over a
+    dense trace as one window. With ``cfg`` ``None`` only the moment and
+    growth parts run; the smoothness part needs a ``problem`` with an
+    ``L`` certificate."""
+
+    def __init__(self, cfg: PadamConfig | None, rows: int, steps: int,
+                 problem: StochasticProblem | None = None):
+        self.cfg, self.problem = cfg, problem
+        self.growth = _GrowthFold(rows, steps)
+        self.prev = None  # the last step's x, m, update and effective lr
+        self.vhat1 = None
+        self.resid = np.full(rows, -math.inf)
+        self.slack = np.full(rows, math.inf)
+        self.monotone = np.ones(rows, dtype=bool)
+        self.smooth = np.full(rows, math.inf)
+        self.m_max = np.full(rows, -math.inf)
+        self.v_max = np.full(rows, -math.inf)
+        self.energy = np.zeros((2, rows))  # momentum and gradient variants
+
+    def add(self, x, g, m, vhat, lr) -> None:
+        first, n = self.growth.seen == 0, g.shape[1]
+        if first:
+            self.vhat1 = vhat[:, 0].copy()
+        self.m_max = np.maximum(self.m_max, np.abs(m).max(axis=(1, 2)))
+        self.v_max = np.maximum(self.v_max, vhat.max(axis=(1, 2)))
+        self.growth.add(g)
+        cfg = self.cfg
+        if cfg is None:
+            return
+        prev = self.prev or {}
+        c = cfg.beta1 / (1.0 - cfg.beta1)
+        alpha = lr[..., None]
+        raw = _inverse_powers(vhat, cfg)
+        scaled = _scaled_denominators(raw)
+        eff = alpha * raw
+        update = alpha * m * scaled
+        g_term = alpha * g * scaled
+        # the iterate before each of x's, x_0 taken equal to x_1
+        back = _with_prev(prev.get("x", x[:, :1]), x)
+        z = x + c * (x - back)  # momentum-corrected z_t, t = first..n+1
+        if first:
+            z[:, 0] = x[:, 0]
+        step = z[:, 1:] - z[:, :-1]
+        moved = x[:, :-1] - back[:, :-1]  # x_t - x_{t-1}
+        if first:
+            moved[:, 0] = 0.0
+
+        # z_identity: the exact increment of z
+        rhs = c * (_with_prev(prev.get("update"), update)
+                   - alpha * _with_prev(prev.get("m"), m) * scaled) - g_term
+        if first:
+            rhs[:, 0] = -g_term[:, 0]
+        resid = np.abs(step - rhs).max(axis=-1)
+        scale = 1.0 + np.abs(step).max(axis=-1)
+        self.resid = np.maximum(self.resid, (resid / scale).max(axis=-1))
+
+        # z_step_bound; monotonicity uses the raw power, where a zero
+        # denominator is +inf: a dead coordinate waking up is a decrease
+        ok = eff <= _with_prev(prev.get("eff"), eff) * (1.0 + 1e-12) + 1e-300
+        if first:
+            ok[:, 0] = True
+        self.monotone &= ok.all(axis=(1, 2))
+        lhs = _norms(step)
+        rhs = _norms(g_term) + c * _norms(moved)
+        self.slack = np.minimum(self.slack,
+                                ((rhs - lhs) / (1.0 + rhs)).min(axis=-1))
+
+        L = None if self.problem is None else self.problem.known_L
+        if L is not None:  # smoothness_gap, one oracle call per history
+            grad, rows, d = self.problem.exact_grad, len(x), x.shape[-1]
+            gap = _row_norms(grad(z[:, :-1].reshape(-1, d))
+                             - grad(x[:, :-1].reshape(-1, d)))
+            allowed = L * c * _row_norms(moved.reshape(-1, d))
+            # fmin, not min: a NaN slack (an overflowing displacement) is
+            # skipped
+            self.smooth = np.fmin(self.smooth, np.fmin.reduce(
+                ((allowed - gap) / (1.0 + allowed)).reshape(rows, n),
+                axis=-1, initial=math.inf))
+
+        for k, a in enumerate((update, g_term)):  # update_energy
+            e = (a * a).sum(axis=-1)
+            e[:, 0] += self.energy[k]
+            self.energy[k] = np.cumsum(e, axis=1)[:, -1]
+        self.prev = {"x": x[:, -2:-1].copy(), "m": m[:, -1:].copy(),
+                     "update": update[:, -1:].copy(),
+                     "eff": eff[:, -1:].copy()}
+
+    def z_identity(self, j: int, trace: Trace) -> CheckResult:
+        name = "z_identity"
+        if trace.diverged:
+            return _skip(name, "trace diverged")
+        margin = float(self.resid[j])
+        status = "pass" if margin <= 1e-10 else "fail"
+        return CheckResult(name, status, margin,
+                           f"max normalized residual {margin:.3e}")
+
+    def z_step_bound(self, j: int, trace: Trace) -> CheckResult:
+        name = "z_step_bound"
+        if trace.diverged:
+            return _skip(name, "trace diverged")
+        if not self.monotone[j]:
+            return _skip(name, "effective lr is not nonincreasing")
+        slack = self.slack[j]
+        status = "pass" if slack >= -1e-9 else "fail"
+        return CheckResult(name, status, float(slack),
+                           f"worst normalized slack {slack:.3e}")
+
+    def smoothness_gap(self, j: int, trace: Trace) -> CheckResult:
+        name = "smoothness_gap"
+        if self.problem is None or self.problem.known_L is None:
+            return _skip(name, "problem has no smoothness certificate")
+        if trace.diverged:
+            return _skip(name, "trace diverged")
+        worst = float(self.smooth[j])
+        status = "pass" if worst >= -1e-9 else "fail"
+        return CheckResult(name, status, worst,
+                           f"worst normalized slack {worst:.3e}")
+
+    def moment_bounds(self, j: int, trace: Trace,
+                      g_inf: float | None) -> CheckResult:
+        name = "moment_bounds"
+        if g_inf is None:
+            return _skip(name, "problem has no gradient-bound certificate")
+        if trace.diverged:
+            return _skip(name, "trace diverged")
+        if trace.box_exit is not None:
+            return _skip(name, "iterates left the certified box at step "
+                         f"{trace.box_exit}")
+        m_ratio = float(self.m_max[j]) / g_inf
+        v_ratio = float(self.v_max[j]) / (g_inf * g_inf)
+        worst = max(m_ratio, v_ratio)
+        status = "pass" if worst <= 1.0 + 1e-12 else "fail"
+        return CheckResult(name, status, 1.0 - worst,
+                           f"m ratio {m_ratio:.3e}, vhat ratio {v_ratio:.3e}")
+
+    def update_energy(self, j: int, trace: Trace,
+                      g_inf: float | None) -> CheckResult:
+        name = "update_energy"
+        if g_inf is None:
+            return _skip(name, "problem has no gradient-bound certificate")
+        if trace.diverged:
+            return _skip(name, "trace diverged")
+        alphas = trace.lr
+        if float(np.ptp(alphas)) != 0.0:
+            return _skip(name, "stated for constant step size only")
+        cfg = self.cfg
+        gamma = cfg.gamma
+        if gamma >= 1.0:
+            return _skip(name, "needs beta1/beta2^(2p) below 1")
+        q_val = _resolve_q(cfg.p, None)
+        col_norms = np.sqrt(self.growth.cum[j])
+        steps, dim = len(alphas), len(col_norms)
+        alpha = float(alphas[0])
+        col_sum = float(col_norms.sum())
+        common = steps ** ((1.0 + q_val) / 2.0) * dim ** q_val * alpha \
+            * alpha * g_inf ** (1.0 + q_val - 4.0 * cfg.p) \
+            / (1.0 - cfg.beta2) ** (2.0 * cfg.p) * col_sum ** (1.0 - q_val)
+        rhs_g = common
+        rhs_m = common * (1.0 - cfg.beta1) / (1.0 - gamma)
+        ratios = []
+        for lhs, rhs in zip(self.energy[:, j].tolist(), (rhs_m, rhs_g)):
+            if rhs == 0.0:
+                ratios.append(0.0 if lhs == 0.0 else math.inf)
+            else:
+                ratios.append(lhs / rhs)
+        worst = max(ratios)
+        status = "pass" if worst <= 1.0 + 1e-12 else "fail"
+        return CheckResult(
+            name, status, 1.0 - worst,
+            f"momentum ratio {ratios[0]:.3e}, gradient ratio {ratios[1]:.3e}",
+        )
+
+    def results(self, j: int, trace: Trace) -> dict[str, CheckResult]:
+        """Row ``j``'s five verdicts; ``trace`` is its trace."""
+        g_inf = None if self.problem is None else self.problem.known_G_inf
+        return {r.name: r for r in (
+            self.z_identity(j, trace),
+            self.z_step_bound(j, trace),
+            self.smoothness_gap(j, trace),
+            self.moment_bounds(j, trace, g_inf),
+            self.update_energy(j, trace, g_inf),
+        )}
+
+
+def _folded_runs(spec: RunSpec, n_seeds: int, cfg: PadamConfig):
+    """``(trace, fold, j)`` for the seeds ``iter_runs`` gives, in order:
+    each block runs with a ``_Fold`` and records no dense histories; row
+    ``j`` of ``fold`` holds the trace's checks."""
+    for seeds in _blocks(spec, n_seeds, folded=True):
+        fold = _Fold(cfg, len(seeds), spec.steps, spec.problem)
+        for j, trace in enumerate(_run_block(spec, seeds, fold)):
+            yield trace, fold, j
+
+
+def _one_window(trace: Trace, cfg: PadamConfig | None,
+                problem: StochasticProblem | None = None) -> _Fold:
+    """The fold over a dense trace, as one window. A diverged trace needs
+    no numbers: every check reads it as inapplicable."""
+    fold = _Fold(cfg, 1, len(trace.t), problem)
+    if not trace.diverged:
+        if trace.dense is None or "x_final" not in trace.dense:
+            raise ValueError(
+                "this check needs a trace recorded with dense=True")
+        d = trace.dense
+        fold.add(np.vstack([d["x"], d["x_final"]])[None], d["g"][None],
+                 d["m"][None], d["vhat"][None], trace.lr[None])
+    return fold
 
 
 def check_z_identity(trace: Trace, cfg: PadamConfig) -> CheckResult:
     """Exact per-step identity for the increments of the momentum-corrected
     sequence. Residuals beyond float roundoff mean the trace and the step
     rule disagree."""
-    name = "z_identity"
-    if trace.diverged:
-        return CheckResult(name, "inapplicable", 0.0, "trace diverged")
-    x, g, m, vhat, x_final = _dense_arrays(trace)
-    n = x.shape[0]
-    c = cfg.beta1 / (1.0 - cfg.beta1)
-    alphas = trace.lr
-    scaled = _scaled_denominators(_inverse_powers(vhat, cfg))
-    update = alphas[:, None] * m * scaled
-    g_term = alphas[:, None] * g * scaled
-    z = _z_sequence(x, x_final, c)
-    lhs = z[1:] - z[:-1]
-    rhs = np.empty_like(lhs)
-    rhs[0] = -g_term[0]
-    if n > 1:
-        cross = alphas[1:, None] * m[:-1] * scaled[1:]
-        rhs[1:] = c * (update[:-1] - cross) - g_term[1:]
-    resid = np.abs(lhs - rhs).max(axis=1)
-    scale_ = 1.0 + np.abs(lhs).max(axis=1)
-    margin = float((resid / scale_).max())
-    status = "pass" if margin <= 1e-10 else "fail"
-    return CheckResult(name, status, margin,
-                       f"max normalized residual {margin:.3e}")
+    return _one_window(trace, cfg).z_identity(0, trace)
 
 
 def check_z_step_bound(trace: Trace, cfg: PadamConfig) -> CheckResult:
@@ -310,36 +545,7 @@ def check_z_step_bound(trace: Trace, cfg: PadamConfig) -> CheckResult:
     plus ``c`` times the previous iterate displacement. Needs the
     effective lr to be nonincreasing, which monotone ``v_hat`` plus a
     nonincreasing schedule guarantees."""
-    name = "z_step_bound"
-    if trace.diverged:
-        return CheckResult(name, "inapplicable", 0.0, "trace diverged")
-    x, g, m, vhat, x_final = _dense_arrays(trace)
-    c = cfg.beta1 / (1.0 - cfg.beta1)
-    alphas = trace.lr
-    # monotonicity uses the raw power, where a zero denominator is +inf:
-    # a dead coordinate waking up is a decrease, not an increase
-    raw = _inverse_powers(vhat, cfg)
-    scaled = _scaled_denominators(raw)
-    eff = alphas[:, None] * raw
-    if not np.all(eff[1:] <= eff[:-1] * (1.0 + 1e-12) + 1e-300):
-        return CheckResult(name, "inapplicable", 0.0,
-                           "effective lr is not nonincreasing")
-    z = _z_sequence(x, x_final, c)
-    lhs = np.linalg.norm(z[1:] - z[:-1], axis=1)
-    g_part = np.linalg.norm(alphas[:, None] * g * scaled, axis=1)
-    disp = np.zeros_like(lhs)
-    disp[1:] = np.linalg.norm(x[:-1] - x[1:], axis=1)
-    rhs = g_part + c * disp
-    slack = ((rhs - lhs) / (1.0 + rhs)).min()
-    status = "pass" if slack >= -1e-9 else "fail"
-    return CheckResult(name, status, float(slack),
-                       f"worst normalized slack {slack:.3e}")
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Each row's norm, bitwise ``np.linalg.norm(row)`` (``norm(axis=1)``
-    sums pairwise instead)."""
-    return np.sqrt(_rowdot(a, a))
+    return _one_window(trace, cfg).z_step_bound(0, trace)
 
 
 def check_smoothness_gap(
@@ -349,51 +555,13 @@ def check_smoothness_gap(
 ) -> CheckResult:
     """The gradient gap between the corrected and the raw iterate is
     controlled by smoothness times the last displacement."""
-    name = "smoothness_gap"
-    L = problem.known_L
-    if L is None:
-        return CheckResult(name, "inapplicable", 0.0,
-                           "problem has no smoothness certificate")
-    if trace.diverged:
-        return CheckResult(name, "inapplicable", 0.0, "trace diverged")
-    x, _, _, _, x_final = _dense_arrays(trace)
-    c = cfg.beta1 / (1.0 - cfg.beta1)
-    z = _z_sequence(x, x_final, c)
-    # one oracle call on each (T, d) history
-    gap = _row_norms(problem.exact_grad(z[:-1]) - problem.exact_grad(x))
-    disp = np.zeros_like(gap)
-    disp[1:] = _row_norms(np.diff(x, axis=0))
-    allowed = L * c * disp
-    # fmin, not min: a NaN slack (an overflowing displacement) is skipped
-    worst = float(np.fmin.reduce((allowed - gap) / (1.0 + allowed),
-                                 initial=math.inf))
-    status = "pass" if worst >= -1e-9 else "fail"
-    return CheckResult(name, status, float(worst),
-                       f"worst normalized slack {worst:.3e}")
+    return _one_window(trace, cfg, problem).smoothness_gap(0, trace)
 
 
-def check_moment_bounds(
-    trace: Trace, g_inf: float | None, ) -> CheckResult:
+def check_moment_bounds(trace: Trace, g_inf: float | None) -> CheckResult:
     """Accumulator bounds ``||m||_inf <= G`` and ``||v_hat||_inf <= G^2``,
     valid while the iterates stay inside the certified box."""
-    name = "moment_bounds"
-    if g_inf is None:
-        return CheckResult(name, "inapplicable", 0.0,
-                           "problem has no gradient-bound certificate")
-    if trace.diverged:
-        return CheckResult(name, "inapplicable", 0.0, "trace diverged")
-    if trace.box_exit is not None:
-        return CheckResult(
-            name, "inapplicable", 0.0,
-            f"iterates left the certified box at step {trace.box_exit}",
-        )
-    _, _, m, vhat, _ = _dense_arrays(trace)
-    m_ratio = float(np.abs(m).max()) / g_inf
-    v_ratio = float(vhat.max()) / (g_inf * g_inf)
-    worst = max(m_ratio, v_ratio)
-    status = "pass" if worst <= 1.0 + 1e-12 else "fail"
-    return CheckResult(name, status, 1.0 - worst,
-                       f"m ratio {m_ratio:.3e}, vhat ratio {v_ratio:.3e}")
+    return _one_window(trace, None).moment_bounds(0, trace, g_inf)
 
 
 def check_update_energy(
@@ -402,47 +570,9 @@ def check_update_energy(
     g_inf: float | None,
 ) -> CheckResult:
     """Cumulative scaled update energy against its closed-form budget, in
-    both the momentum and the raw-gradient variants. Stated for constant
-    step size."""
-    name = "update_energy"
-    if g_inf is None:
-        return CheckResult(name, "inapplicable", 0.0,
-                           "problem has no gradient-bound certificate")
-    if trace.diverged:
-        return CheckResult(name, "inapplicable", 0.0, "trace diverged")
-    alphas = trace.lr
-    if float(np.ptp(alphas)) != 0.0:
-        return CheckResult(name, "inapplicable", 0.0,
-                           "stated for constant step size only")
-    gamma = cfg.gamma
-    if gamma >= 1.0:
-        return CheckResult(name, "inapplicable", 0.0,
-                           "needs beta1/beta2^(2p) below 1")
-    q_val = _resolve_q(cfg.p, None)
-    x, g, m, vhat, _ = _dense_arrays(trace)
-    steps, dim = g.shape
-    alpha = float(alphas[0])
-    scaled = _scaled_denominators(_inverse_powers(vhat, cfg))
-    lhs_m = float(np.sum((alpha * m * scaled) ** 2))
-    lhs_g = float(np.sum((alpha * g * scaled) ** 2))
-    col_sum = float(np.linalg.norm(g, axis=0).sum())
-    common = steps ** ((1.0 + q_val) / 2.0) * dim ** q_val * alpha * alpha \
-        * g_inf ** (1.0 + q_val - 4.0 * cfg.p) \
-        / (1.0 - cfg.beta2) ** (2.0 * cfg.p) * col_sum ** (1.0 - q_val)
-    rhs_g = common
-    rhs_m = common * (1.0 - cfg.beta1) / (1.0 - gamma)
-    ratios = []
-    for lhs, rhs in ((lhs_m, rhs_m), (lhs_g, rhs_g)):
-        if rhs == 0.0:
-            ratios.append(0.0 if lhs == 0.0 else math.inf)
-        else:
-            ratios.append(lhs / rhs)
-    worst = max(ratios)
-    status = "pass" if worst <= 1.0 + 1e-12 else "fail"
-    return CheckResult(
-        name, status, 1.0 - worst,
-        f"momentum ratio {ratios[0]:.3e}, gradient ratio {ratios[1]:.3e}",
-    )
+    both the momentum and the raw-gradient variants, each summed step by
+    step. Stated for constant step size."""
+    return _one_window(trace, cfg).update_energy(0, trace, g_inf)
 
 
 def run_trajectory_checks(
@@ -459,14 +589,7 @@ def run_trajectory_checks(
         )
     if cfg is None:
         cfg = entry.padam_config(trace.meta["config"]["optimizer-params"])
-    results = [
-        check_z_identity(trace, cfg),
-        check_z_step_bound(trace, cfg),
-        check_smoothness_gap(trace, problem, cfg),
-        check_moment_bounds(trace, problem.known_G_inf),
-        check_update_energy(trace, cfg, problem.known_G_inf),
-    ]
-    return {r.name: r for r in results}
+    return _one_window(trace, cfg, problem).results(0, trace)
 
 
 _SEVERITY = {"pass": 0, "inapplicable": 1, "fail": 2}
@@ -522,8 +645,10 @@ def verify_bound(
     the bound is the largest pathwise estimate across replicas, so the
     hypothesis it encodes holds on every observed stream. The left side
     and ``f(x_1)`` are read from the recorded ``grad_norm_sq`` and ``loss``
-    columns. Divergence or a box exit marks the report inapplicable
-    instead of raising.
+    columns. The trajectory checks, the growth exponents and ``v_hat_1``
+    are folded window by window while the replicas run, so no dense
+    histories are kept. Divergence or a box exit marks the report
+    inapplicable instead of raising.
     """
     if problem.known_L is None or problem.known_G_inf is None \
             or problem.known_f_star is None:
@@ -541,7 +666,6 @@ def verify_bound(
         steps=steps,
         seed=seed + 1,
         init_seed=seed,
-        record_dense=True,
     )
     notes: list[str] = []
     applicable = True
@@ -550,7 +674,7 @@ def verify_bound(
     lhs_parts: list[float] = []
     fitted = 0.0
     agg: dict[str, CheckResult] = {}
-    for k, trace in enumerate(iter_runs(spec, n_seeds)):
+    for k, (trace, fold, j) in enumerate(_folded_runs(spec, n_seeds, cfg)):
         if trace.diverged:
             applicable = False
             notes.append(f"replica {k} diverged")
@@ -562,7 +686,7 @@ def verify_bound(
             )
         if delta_f is None:
             delta_f = float(trace.loss[0]) - problem.known_f_star
-        raw1 = _inverse_powers(trace.dense["vhat"][0], cfg)
+        raw1 = _inverse_powers(fold.vhat1[j], cfg)
         if np.isinf(raw1).any():
             applicable = False
             notes.append(
@@ -571,9 +695,8 @@ def verify_bound(
             )
         else:
             vhat1_parts.append(float(np.sum(raw1)))
-        est = estimate_growth_s(trace.dense["g"], g_inf=problem.known_G_inf)
-        fitted = max(fitted, est.s)
-        _keep_worst(agg, run_trajectory_checks(trace, problem, cfg))
+        fitted = max(fitted, fold.growth.estimate(j, problem.known_G_inf).s)
+        _keep_worst(agg, fold.results(j, trace))
         out_rng = np.random.default_rng(seed + 777_000 + k)
         t_out = select_output_indices(trace, None, out_rng, 1)[0]
         lhs_parts.append(float(trace.grad_norm_sq[t_out - 1]))

@@ -2,7 +2,8 @@
 
 ``repeat_runs(spec, n)[k]`` is compared with ``run`` on seed
 ``spec.seed + k`` for every optimizer on every problem, and on blocks in
-which some replicas stop early while the others run on. Eighteen seeds
+which some replicas stop early while the others run on. The byte budget
+is patched to zero, so blocks hold their 16-row minimum and eighteen seeds
 cross a block boundary.
 """
 
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from padambench import harness
 from padambench.harness import (
     CSV_HEADER,
     OPTIMIZERS,
@@ -20,7 +22,7 @@ from padambench.harness import (
     repeat_runs,
     run,
 )
-from padambench.optim import REGISTRY
+from padambench.optim import REGISTRY, PadamConfig
 from padambench.problems import (
     StochasticProblem,
     _draw_rows,
@@ -32,9 +34,19 @@ from padambench.problems import (
     make_rosenbrock,
     make_sparse_growth,
 )
+from padambench.theory import (
+    _folded_runs,
+    estimate_growth_s,
+    run_trajectory_checks,
+)
 
 N_SEEDS = 18
 _COLUMNS = CSV_HEADER.split(",")
+
+
+@pytest.fixture(autouse=True)
+def blocks_of_16(monkeypatch):
+    monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)
 
 PROBLEMS = {
     "quadratic": lambda: make_quadratic(4, condition_number=8.0, noise=0.1),
@@ -330,3 +342,93 @@ def test_mixed_block_loss_check_before_first_step(optimizer, lr):
     assert never.dense["x"].shape == (0, 3)
     assert never.dense["x_final"][0] >= 0.05
     assert_stopped_rows_stay_zero(spec)
+
+
+def assert_fold_matches_dense(spec, n_seeds, monkeypatch):
+    """The checks folded while a block runs, window by window, equal the
+    one-window fold over each dense trace: verdicts and details identical,
+    margins, the growth estimate and ``v_hat_1`` bitwise, for windows of
+    one step, of a size that divides nothing, of 64 steps, of the whole
+    run and of more than the run."""
+    problem = spec.problem
+    dense = repeat_runs(dataclasses.replace(spec, record_dense=True), n_seeds)
+    entry = REGISTRY[spec.optimizer]
+    cfg = entry.padam_config(dense[0].meta["config"]["optimizer-params"])
+    steps = spec.steps
+    monkeypatch.setattr(harness, "_WINDOW_FLOATS", 1 << 30)
+    for width in (1, 7, 64, steps, steps + 1):
+        monkeypatch.setattr(harness, "_WINDOW", width)
+        folded = list(_folded_runs(spec, n_seeds, cfg))
+        for (trace, fold, j), want in zip(folded, dense, strict=True):
+            assert all(getattr(trace, name).tobytes()
+                       == getattr(want, name).tobytes() for name in _COLUMNS)
+            assert (trace.diverged, trace.box_exit) == \
+                (want.diverged, want.box_exit)
+            got = fold.results(j, trace)
+            for name, res in run_trajectory_checks(want, problem).items():
+                assert (got[name].status, got[name].detail) == \
+                    (res.status, res.detail), (width, name)
+                assert np.float64(got[name].margin).tobytes() == \
+                    np.float64(res.margin).tobytes(), (width, name)
+            if want.diverged:
+                continue
+            est = fold.growth.estimate(j, problem.known_G_inf)
+            ref = estimate_growth_s(want.dense["g"], problem.known_G_inf)
+            assert np.array([est.s, est.slope]).tobytes() == \
+                np.array([ref.s, ref.slope]).tobytes(), width
+            assert est.degenerate is ref.degenerate
+            assert fold.vhat1[j].tobytes() == want.dense["vhat"][0].tobytes()
+
+
+@pytest.mark.parametrize("optimizer", ["padam", "amsgrad"])
+def test_fold_matches_dense_on_mixed_blocks(optimizer, monkeypatch):
+    # rows stop mid-window (at the loss check, at a nonfinite stochastic
+    # gradient, on NumericError) and the others run on; these problems
+    # have no certificates, so the growth estimate falls back on max |g|
+    for spec in (
+        RunSpec(problem=_nan_gradient_problem(), optimizer=optimizer,
+                opt_params={}, schedule=Schedule("constant", 0.05),
+                steps=80, seed=0),
+        RunSpec(problem=_tiny_gradient_problem(), optimizer=optimizer,
+                opt_params={"epsilon": 0.0},
+                schedule=Schedule("constant", 0.05), steps=60, seed=0),
+        RunSpec(problem=_cliff_problem(), optimizer=optimizer,
+                opt_params={}, schedule=Schedule(
+                    "constant", 0.01 if optimizer == "padam" else 0.0005),
+                steps=40, seed=0),
+    ):
+        traces = repeat_runs(spec, N_SEEDS)
+        assert any(tr.diverged for tr in traces), spec.problem.name
+        assert not all(tr.diverged for tr in traces), spec.problem.name
+        assert_fold_matches_dense(spec, N_SEEDS, monkeypatch)
+
+
+def test_fold_matches_dense_on_random_configurations(monkeypatch):
+    # criterion 03's draws, shorter: random problem, betas, p, lr and
+    # horizon, epsilon 0 on every fourth
+    master = np.random.default_rng(2024)
+    for k in range(8):
+        if k % 2 == 0:
+            prob = make_quadratic(int(master.integers(2, 9)),
+                                  condition_number=float(
+                                      master.uniform(1.0, 50.0)),
+                                  noise=float(master.uniform(0.0, 0.3)))
+        else:
+            prob = make_logistic(int(master.integers(3, 7)),
+                                 n_samples=int(master.integers(30, 81)),
+                                 seed=int(master.integers(0, 100)))
+        while True:
+            beta1 = float(master.uniform(0.5, 0.95))
+            beta2 = float(master.uniform(0.95, 0.9999))
+            p = float(master.uniform(0.0, 0.5))
+            if beta1 / beta2 ** (2 * p) < 0.995:
+                break
+        cfg = PadamConfig(beta1=beta1, beta2=beta2, p=p,
+                          epsilon=0.0 if k % 4 == 0 else 1e-8)
+        spec = RunSpec(
+            problem=prob, optimizer="padam",
+            opt_params=dataclasses.asdict(cfg),
+            schedule=Schedule("constant", float(master.uniform(0.005, 0.05))),
+            steps=int(master.integers(30, 131)),
+            seed=int(master.integers(0, 10_000)))
+        assert_fold_matches_dense(spec, 3, monkeypatch)

@@ -7,10 +7,12 @@ before the module existed; they pin the algebra, not the implementation.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from padambench import harness
 from padambench.harness import (
     RunSpec,
     Schedule,
@@ -32,6 +34,7 @@ from padambench.theory import (
     bound_value,
     check_moment_bounds,
     check_smoothness_gap,
+    _one_window,
     check_z_identity,
     estimate_growth_s,
     optimal_alpha,
@@ -358,11 +361,12 @@ _RECORDED = {
 
 @pytest.mark.parametrize("p", [0.0, 0.125, 0.5])
 @pytest.mark.parametrize("case", sorted(_RECORDED))
-def test_verify_bound_reads_what_the_run_recorded(case, p):
+def test_verify_bound_reads_what_the_run_recorded(case, p, monkeypatch):
     # delta_f and the left side, recomputed with the oracles at the dense
     # iterates, are bitwise what verify_bound read from the trace columns
     prob, cfg = _RECORDED[case](6), PadamConfig(p=p)
-    seed, n_seeds, steps, alpha = 3, 17, 40, 0.01  # 17 cross a block of 16
+    seed, n_seeds, steps, alpha = 3, 17, 40, 0.01
+    monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)  # 17 cross a block of 16
     report = verify_bound(prob, cfg, alpha=alpha, steps=steps,
                           n_seeds=n_seeds, seed=seed)
     spec = RunSpec(problem=prob, optimizer="padam",
@@ -386,6 +390,38 @@ def test_verify_bound_reads_what_the_run_recorded(case, p):
     exits = sum(trace.box_exit is not None for trace in traces)
     assert (0 < exits < n_seeds) == (case == "box-exit"), exits
     assert report.applicable == (exits == 0)
+
+
+def test_verify_bound_memory_scales_with_the_window():
+    # the traces' columns, step numbers and the back-half maxima of the
+    # growth fit grow with T; what else verify_bound holds at once must
+    # fit in a few window-sized arrays, where dense histories took
+    # 4 * S * T * d floats
+    seeds, steps, dim = 16, 10_000, 10
+    prob = make_quadratic(dim, 10.0, 0.1)
+    verify_bound(prob, PadamConfig(), alpha=0.01, steps=20, n_seeds=2)  # warm
+    per_step = 8 * (len(harness._COLUMNS) + 1) + 4  # bytes per replica-step
+    window = 8 * seeds * (harness._WINDOW + 1) * dim
+    tracemalloc.start()
+    try:
+        verify_bound(prob, PadamConfig(), alpha=optimal_alpha(dim, steps, 0.5),
+                     steps=steps, n_seeds=seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < per_step * seeds * steps + 16 * window, peak
+
+
+def test_update_energy_step_sums_match_the_pairwise_sum():
+    # the fold sums the update energy step by step; np.sum over the whole
+    # (T, d) history, as the dense check once did, agrees to 1e-13
+    prob, cfg, trace = dense_padam_trace(steps=400)
+    fold = _one_window(trace, cfg)
+    raw = trace.dense["vhat"] + cfg.epsilon
+    scaled = raw ** -cfg.p
+    for got, a in zip(fold.energy[:, 0], (trace.dense["m"], trace.dense["g"])):
+        want = float(np.sum((trace.lr[0] * a * scaled) ** 2))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_verify_bound_zero_first_step_denominator():

@@ -13,7 +13,12 @@ Measures the checkout ``DIR`` (default: the one holding this script):
 - the wall time and the test count of the whole tier-1 suite;
 - the wall time that acceptance criteria 02, 04 and 08 report, each run
   alone with ``pytest -k``;
+- ``padambench run`` at d = 1e5, 300 steps, once per optimizer;
 - the line count of every module under ``src/padambench``.
+
+Each pytest and ``padambench run`` child also records its peak RSS and
+minor page faults (``ru_maxrss``, ``ru_minflt`` from ``os.wait4``: the
+child and the children it waited for).
 
 Writes ``BENCH_<n>.json`` at the root of the checkout holding this script,
 so a parent checkout can be measured into the current tree. Each perfbench
@@ -31,12 +36,32 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 15)
 CRITERIA = {"02": "test_c02", "04": "test_c04", "08": "test_c08"}
+OPTIMIZERS = ("padam", "adam", "amsgrad", "adamw", "sgdm", "adagrad")
+
+
+def _child(argv: list[str], checkout: Path) -> tuple[str, dict]:
+    """Run ``argv`` in ``checkout`` with its ``src`` on ``PYTHONPATH``;
+    its stdout, and its exit code, wall time, peak RSS and minor faults."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    with tempfile.TemporaryFile() as out:
+        started = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=checkout, env=env, stdout=out,
+                                stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - started
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        text = out.read().decode()
+    return text, {"exit": proc.returncode, "wall_s": wall,
+                  "peak_rss_mib": usage.ru_maxrss / 1024,
+                  "minflt": usage.ru_minflt}
 
 
 def _perfbench(checkout: Path, workload: str, seed: int, trace: int,
@@ -54,32 +79,43 @@ def _perfbench(checkout: Path, workload: str, seed: int, trace: int,
 
 
 def _criterion_seconds(checkout: Path, tag: str, test: str) -> dict:
-    """The ``elapsed`` a criterion's report line prints, and its status."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    out = subprocess.run(
+    """The ``elapsed`` a criterion's report line prints, its status, and
+    the child's resources."""
+    stdout, child = _child(
         [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
-         "tests/test_acceptance.py", "-k", test],
-        cwd=checkout, env=env, capture_output=True, text=True)
+         "tests/test_acceptance.py", "-k", test], checkout)
     match = re.search(rf"\[criterion-{tag}\] (PASS|FAIL) .*elapsed=([0-9.]+)s",
-                      out.stdout)
+                      stdout)
     if match is None:
-        return {"status": "ERROR", "elapsed_s": None}
-    return {"status": match.group(1), "elapsed_s": float(match.group(2))}
+        return {"status": "ERROR", "elapsed_s": None, "child": child}
+    return {"status": match.group(1), "elapsed_s": float(match.group(2)),
+            "child": child}
 
 
 def _tier1(checkout: Path) -> dict:
-    """Wall time of the whole tier-1 suite, and its tests by outcome."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    started = time.perf_counter()
-    out = subprocess.run(
+    """Wall time of the whole tier-1 suite, its tests by outcome, and the
+    child's resources."""
+    stdout, child = _child(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
-        cwd=checkout, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - started
-    summary = out.stdout.strip().splitlines()[-1] if out.stdout.strip() else ""
+         "--continue-on-collection-errors"], checkout)
+    summary = stdout.strip().splitlines()[-1] if stdout.strip() else ""
     counts = {kind: int(n) for n, kind in
               re.findall(r"(\d+) (passed|failed|errors?|skipped)", summary)}
-    return {"wall_s": wall, "tests": sum(counts.values()), **counts}
+    return {"wall_s": child["wall_s"], "tests": sum(counts.values()),
+            **counts, "child": child}
+
+
+def _wide_runs(checkout: Path) -> dict:
+    """``padambench run`` at d = 1e5 for each optimizer, one child each."""
+    runs = {}
+    with tempfile.TemporaryDirectory() as outdir:
+        for opt in OPTIMIZERS:
+            print(f"bench: wide run {opt}", flush=True)
+            runs[opt] = _child(
+                [sys.executable, "-m", "padambench.cli", "run", "--problem",
+                 "quadratic", "--dim", "100000", "--steps", "300",
+                 "--optimizer", opt, "--outdir", outdir], checkout)[1]
+    return runs
 
 
 def _src_lines(checkout: Path) -> dict:
@@ -111,6 +147,7 @@ def main(argv=None) -> int:
     for tag, test in CRITERIA.items():
         print(f"bench: criterion {tag}", flush=True)
         criteria[tag] = _criterion_seconds(checkout, tag, test)
+    wide_runs = _wide_runs(checkout)
     record = {
         "n": args.n,
         "env": {"python": platform.python_version(), "numpy": np.__version__,
@@ -119,6 +156,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "tier1": tier1,
         "criteria": criteria,
+        "wide_runs": wide_runs,
         "src_lines": _src_lines(checkout),
     }
     path = ROOT / f"BENCH_{args.n}.json"

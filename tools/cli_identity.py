@@ -80,6 +80,9 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
     # 17 seeds cross a block boundary
     "verify-bound-seeds17": (["verify", "--suite", "bound", "--steps", "100",
                               "--seeds", "17"], {}),
+    # a window of 64 steps does not divide 700, and 17 seeds pass 16
+    "verify-all-700x17": (["verify", "--suite", "all", "--steps", "700",
+                           "--seeds", "17"], {}),
     "config-run": (["run", "--config", "cfg.json"],
                    {"cfg.json": {"problem": "quadratic",
                                  "optimizer": "amsgrad", "dim": 4,
