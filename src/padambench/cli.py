@@ -266,6 +266,8 @@ def _resolve(args, keys, defaults=_DEFAULTS) -> tuple[dict, set]:
                 raise ConfigError(f"{k!r} takes comma-separated "
                                   f"{cast.__name__} values, got "
                                   f"{cfg[k]!r}") from e
+        if k in cfg and len(set(cfg[k])) < len(cfg[k]):
+            raise ConfigError(f"{k!r} repeats an entry: {cfg[k]}")
     return cfg, given
 
 
@@ -282,9 +284,9 @@ def _flag_params(cfg, optimizer: str) -> dict:
             for param, flag in REGISTRY[optimizer].flags.items()}
 
 
-def _build_spec(cfg, optimizer: str, lr: float) -> RunSpec:
+def _build_spec(cfg, problem, optimizer: str, lr: float) -> RunSpec:
     return RunSpec(
-        problem=_build_problem(cfg),
+        problem=problem,
         optimizer=optimizer,
         opt_params=_flag_params(cfg, optimizer),
         schedule=Schedule(cfg["schedule"], lr,
@@ -320,6 +322,13 @@ def _mean_rows(traces) -> list[tuple]:
             for t, loss, gn in zip(traces[0].t, losses, gns)]
 
 
+def _runs_per_spec(specs, seeds: int) -> list[list]:
+    """The traces of ``seeds`` replicas of each spec, all run as one
+    ``repeat_runs`` call, split back per spec."""
+    traces = repeat_runs(specs, seeds)
+    return [traces[k:k + seeds] for k in range(0, len(traces), seeds)]
+
+
 def _outdir(args) -> Path:
     path = Path(args.outdir)
     path.mkdir(parents=True, exist_ok=True)
@@ -339,7 +348,7 @@ def _write_meta(table_path: Path, payload: dict) -> None:
 
 def _cmd_run(args) -> int:
     cfg, given = _resolve(args, _RUN_KEYS)
-    spec = _build_spec(cfg, cfg["optimizer"], cfg["lr"])
+    spec = _build_spec(cfg, _build_problem(cfg), cfg["optimizer"], cfg["lr"])
     flat = _flat_config(cfg)
     outdir = _outdir(args)
     seeds = cfg["seeds"] if "seeds" in given else 1
@@ -378,12 +387,14 @@ def _cmd_sweep_p(args) -> int:
             else [0.0625, 0.125, 0.2, 0.25, 0.4])
     if not grid:
         raise ConfigError("empty p list")
+    problem = _build_problem(cfg)
+    per_p = _runs_per_spec([_build_spec({**cfg, "p": p}, problem, "padam",
+                                        cfg["lr"]) for p in grid],
+                           cfg["seeds"])
     rows = []
     finals = []
     any_diverged = False
-    for p in grid:
-        spec = _build_spec({**cfg, "p": p}, "padam", cfg["lr"])
-        traces = repeat_runs(spec, cfg["seeds"])
+    for p, traces in zip(grid, per_p):
         any_diverged |= any(tr.diverged for tr in traces)
         mean = _mean_rows(traces)
         rows += [(p, *row) for row in mean]
@@ -411,12 +422,15 @@ def _cmd_compare(args) -> int:
         if name not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {name!r}, expected one of "
                               f"{', '.join(OPTIMIZERS)}")
+    problem = _build_problem(cfg)
+    specs = [_build_spec(cfg, problem, name, cfg["lr"] if "lr" in given
+                         else REGISTRY[name].compare_lr) for name in names]
     rows = []
     summary = []
     any_diverged = False
-    for name in names:
-        lr = cfg["lr"] if "lr" in given else REGISTRY[name].compare_lr
-        traces = repeat_runs(_build_spec(cfg, name, lr), cfg["seeds"])
+    for name, spec, traces in zip(names, specs,
+                                  _runs_per_spec(specs, cfg["seeds"])):
+        lr = spec.schedule.base
         any_diverged |= any(tr.diverged for tr in traces)
         mean = _mean_rows(traces)
         rows += [(name, *row) for row in mean]

@@ -194,40 +194,54 @@ def run(spec: RunSpec) -> Trace:
     Never raises on numeric blowup: a nonfinite loss, gradient or iterate
     stops the loop with ``diverged=True`` and the rows recorded so far.
     """
-    return _run_block(spec, [spec.seed])[0]
+    return _run_block([(spec, spec.seed)])[0]
 
 
-def _blocks(spec: RunSpec, n_seeds: int, folded: bool = False):
-    """The seeds ``spec.seed + k``, ``k < n_seeds``, as the lists that
-    advance together: as many as fit ``_BLOCK_BYTES``, at least 16. A fold
-    (``folded``) adds its window, carry rows and back-half maxima."""
+def _blocks(specs, n_seeds: int, folded: bool = False) -> list[list]:
+    """The rows ``(spec, spec.seed + k)``, ``k < n_seeds``, spec by spec,
+    cut into the lists that advance together: as many as fit
+    ``_BLOCK_BYTES``, at least 16. ``specs`` is one ``RunSpec`` or a
+    sequence of them sharing one problem object, ``steps`` and
+    ``record_dense``. A fold (``folded``) adds its window, carry rows and
+    back-half maxima."""
+    specs = [specs] if isinstance(specs, RunSpec) else list(specs)
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
+    if not specs:
+        raise ValueError("no run specs given")
+    spec = specs[0]
+    if any(s.problem is not spec.problem or s.steps != spec.steps
+           or s.record_dense != spec.record_dense for s in specs):
+        raise ValueError("specs run together must share one problem "
+                         "object, steps and record_dense")
     steps, d = spec.steps, spec.problem.dim
     floats = len(_COLUMNS) * steps + _STATE_ROWS * d
     if spec.record_dense:
         floats += 4 * (steps + 1) * d
     elif folded:  # the fold's temporaries fit _WINDOW_FLOATS, whatever S
         floats += steps // 2 + 4 * (_WINDOW + 1) * d
-    rows = max(16, _BLOCK_BYTES // (8 * floats))
-    for first in range(0, n_seeds, rows):
-        yield [spec.seed + k for k in range(first, min(first + rows, n_seeds))]
+    per = max(16, _BLOCK_BYTES // (8 * floats))
+    rows = [(s, s.seed + k) for s in specs for k in range(n_seeds)]
+    return [rows[first:first + per] for first in range(0, len(rows), per)]
 
 
-def iter_runs(spec: RunSpec, n_seeds: int):
+def iter_runs(specs, n_seeds: int):
     """Yield the traces of seeds ``spec.seed + k`` for ``k < n_seeds``, in
-    order. Replicas advance in blocks (``_blocks``), each run only when
-    the consumer reaches it; a block's traces share its arrays, which are
+    order, for one spec or for each of a sequence of specs in turn (see
+    ``_blocks``). Replicas advance in blocks, each run only when the
+    consumer reaches it; a block's traces share its arrays, which are
     freed once its last trace is dropped."""
-    for seeds in _blocks(spec, n_seeds):
-        yield from _run_block(spec, seeds)
+    return (trace for rows in _blocks(specs, n_seeds)
+            for trace in _run_block(rows))
 
 
-def repeat_runs(spec: RunSpec, n_seeds: int) -> list[Trace]:
-    """Run ``n_seeds`` replicas with seeds ``spec.seed + k``, in order.
+def repeat_runs(specs, n_seeds: int) -> list[Trace]:
+    """Run ``n_seeds`` replicas with seeds ``spec.seed + k``, in order, of
+    one spec or, spec-major, of each spec of a sequence that shares one
+    problem object, ``steps`` and ``record_dense``.
 
-    Each trace is bitwise the one ``run`` gives for its seed."""
-    return list(iter_runs(spec, n_seeds))
+    Each trace is bitwise the one ``run`` gives for its spec and seed."""
+    return list(iter_runs(specs, n_seeds))
 
 
 def _raises(stepper, state: OptState, x, g, lr: float, j: int) -> bool:
@@ -244,18 +258,22 @@ def _raises(stepper, state: OptState, x, g, lr: float, j: int) -> bool:
 # overflow on a blown-up iterate, in the oracles or in the step rule, is the
 # divergence signal, not an error
 @np.errstate(over="ignore", invalid="ignore")
-def _run_block(spec: RunSpec, seeds: list[int], fold=None) -> list[Trace]:
-    """Run ``spec`` once per seed, advancing the replicas together as
-    ``(S, d)`` arrays; block row ``j`` is seed ``seeds[j]`` throughout.
+def _run_block(rows: list[tuple[RunSpec, int]], fold=None) -> list[Trace]:
+    """Run each ``(spec, seed)`` of ``rows``, advancing the replicas
+    together as ``(S, d)`` arrays; block row ``j`` is ``rows[j]``
+    throughout. The specs share the problem, ``steps`` and
+    ``record_dense``; each run of consecutive rows with one spec is a group
+    with its own step rule, schedule and state.
 
-    The step rule and each of the problem's oracles run once per step on
-    the whole block, so every row follows its lone run bit for bit. A row
-    stops at the check and the step where its lone run would stop
-    (nonfinite loss or gradient norm, nonfinite stochastic gradient,
-    ``NumericError``, nonfinite new iterate); the other rows carry on. A
-    stopped row is zeroed in ``x``, ``g`` and the state, which every step
-    rule steps to zero without raising, and its trace is cut at its last
-    recorded row. The oracles still evaluate it, at zero.
+    Each of the problem's oracles runs once per step on the whole block,
+    and each group's step rule once on its rows, so every row follows its
+    lone run bit for bit. A row stops at the check and the step where its
+    lone run would stop (nonfinite loss or gradient norm, nonfinite
+    stochastic gradient, ``NumericError``, nonfinite new iterate); the
+    other rows carry on. A stopped row is zeroed in ``x``, ``g`` and the
+    state, which every step rule steps to zero without raising, and its
+    trace is cut at its last recorded row. The oracles still evaluate it,
+    at zero.
 
     ``record_dense`` keeps the ``x``, ``g``, ``m`` and ``vhat`` histories
     of every step. A ``fold`` gets them a window of steps at a time
@@ -264,18 +282,28 @@ def _run_block(spec: RunSpec, seeds: list[int], fold=None) -> list[Trace]:
     the one after, and the others ``(S, n, d)`` and ``(S, n)``. A stopped
     row's slots hold what the zeroed row steps to.
     """
+    spec = rows[0][0]
     prob = spec.problem
-    entry = REGISTRY[spec.optimizer]
-    stepper = entry.bind(_resolve_params(spec.optimizer, spec.opt_params))
-    S, d, steps = len(seeds), prob.dim, spec.steps
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    S, d, steps = len(rows), prob.dim, spec.steps
+    edges = [0, *(j for j in range(1, S) if rows[j][0] is not rows[j - 1][0]),
+             S]
+    spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    specs = [rows[rs.start][0] for rs in spans]
+    # each group's rows, schedule, step rule and vhat column
+    groups = [(rs, s.schedule,
+               REGISTRY[s.optimizer].bind(_resolve_params(s.optimizer,
+                                                          s.opt_params)),
+               REGISTRY[s.optimizer].vhat_field)
+              for rs, s in zip(spans, specs)]
+    group = np.repeat(np.arange(len(spans)), np.diff(edges))
+    rngs = [np.random.default_rng(seed) for _, seed in rows]
     x = np.empty((S, d))
-    for j, rng in enumerate(rngs):
+    for j, ((s, _), rng) in enumerate(zip(rows, rngs)):
         if prob.start is not None:
             x[j] = prob.start
         else:
-            init_rng = (np.random.default_rng(spec.init_seed)
-                        if spec.init_seed is not None else rng)
+            init_rng = (np.random.default_rng(s.init_seed)
+                        if s.init_seed is not None else rng)
             x[j] = 0.1 * init_rng.standard_normal(d)
 
     cols = {name: np.empty((S, steps)) for name in _COLUMNS}
@@ -285,8 +313,10 @@ def _run_block(spec: RunSpec, seeds: list[int], fold=None) -> list[Trace]:
     if spec.record_dense or fold is not None:
         rec = {name: np.empty((S, width + (name == "x"), d))
                for name in ("x", "g", "m", "vhat")}
-    zeros = np.zeros((S, d))
-    state = OptState(m=zeros, v=zeros.copy(), v_hat=zeros.copy())
+    states = []
+    for rs in spans:
+        zeros = np.zeros((rs.stop - rs.start, d))
+        states.append(OptState(m=zeros, v=zeros.copy(), v_hat=zeros.copy()))
     recorded = [steps] * S
     box_exit: list[int | None] = [None] * S
     # a stopped row's last iterate; None marks a row that never stopped
@@ -301,10 +331,11 @@ def _run_block(spec: RunSpec, seeds: list[int], fold=None) -> list[Trace]:
         nonlocal n_live
         for j in stop:
             recorded[j], x_final[j] = n, x[j].copy()
+            q = group[j]
+            state, r = states[q], j - spans[q].start
+            state.m[r] = state.v[r] = state.v_hat[r] = 0.0
         live[stop] = False
         n_live -= len(stop)
-        for a in (state.m, state.v, state.v_hat):
-            a[stop] = 0.0
         return not n_live
 
     def live_rows(a):
@@ -330,7 +361,6 @@ def _run_block(spec: RunSpec, seeds: list[int], fold=None) -> list[Trace]:
             for j in np.flatnonzero(np.abs(x).max(axis=1) > prob.box):
                 if box_exit[j] is None and not at_loss[j]:
                     box_exit[j] = t
-        lr_t = schedule_lr(spec.schedule, t)
         stop = () if ok else np.flatnonzero(
             at_loss | live & ~np.isfinite(g).all(axis=1))
         if len(stop):
@@ -338,36 +368,46 @@ def _run_block(spec: RunSpec, seeds: list[int], fold=None) -> list[Trace]:
                 break
             x = live_rows(x)
         g = live_rows(g)
-        try:
-            state, out = stepper(state, x, g, lr_t)
-        except NumericError:
-            # rare: stop the rows that raise on their own, step the rest
-            stop = [j for j in np.flatnonzero(live)
-                    if _raises(stepper, state, x, g, lr_t, j)]
-            if not stop:
-                raise
-            if halt(stop, t - 1):
-                break
-            x, g = live_rows(x), live_rows(g)
-            state, out = stepper(state, x, g, lr_t)
-        vhat = getattr(state, entry.vhat_field)
-        cols["lr"][:, i] = lr_t
-        cols["eff_lr_min"][:, i] = out.effective_lr_min
-        cols["eff_lr_max"][:, i] = out.effective_lr_max
-        cols["vhat_min"][:, i] = vhat.min(axis=1)
-        cols["vhat_max"][:, i] = vhat.max(axis=1)
+        k = i % width
+        new_xs = []
+        for q, (rs, schedule, stepper, vhat_field) in enumerate(groups):
+            lr_t = schedule_lr(schedule, t)
+            try:
+                state, out = stepper(states[q], x[rs], g[rs], lr_t)
+            except NumericError:
+                # rare: stop the rows that raise on their own, step the rest
+                stop = [j for j in range(rs.start, rs.stop) if live[j]
+                        and _raises(stepper, states[q], x[rs], g[rs], lr_t,
+                                    j - rs.start)]
+                if not stop:
+                    raise
+                halt(stop, t - 1)
+                x, g = live_rows(x), live_rows(g)
+                state, out = stepper(states[q], x[rs], g[rs], lr_t)
+            states[q] = state
+            vhat = getattr(state, vhat_field)
+            cols["lr"][rs, i] = lr_t
+            cols["eff_lr_min"][rs, i] = out.effective_lr_min
+            cols["eff_lr_max"][rs, i] = out.effective_lr_max
+            cols["vhat_min"][rs, i] = vhat.min(axis=1)
+            cols["vhat_max"][rs, i] = vhat.max(axis=1)
+            if rec is not None:
+                rec["m"][rs, k] = state.m
+                rec["vhat"][rs, k] = vhat
+            new_xs.append(out.new_x)
+        if not n_live:  # every row left raised NumericError
+            break
         if rec is not None:
-            k = i % width
             if k == 0:
                 rec["x"][:, 0] = x
             rec["g"][:, k] = g
-            rec["m"][:, k] = state.m
-            rec["vhat"][:, k] = vhat
-        if not np.isfinite(out.new_x).all():
-            if halt(np.flatnonzero(~np.isfinite(out.new_x).all(axis=1)), t):
+        # one group steps into its own array, which the block then keeps
+        new_x = new_xs[0] if len(new_xs) == 1 else np.concatenate(new_xs)
+        if not np.isfinite(new_x).all():
+            if halt(np.flatnonzero(~np.isfinite(new_x).all(axis=1)), t):
                 break
-            out.new_x[~live] = 0.0  # the step's own array
-        x = out.new_x
+            new_x[~live] = 0.0
+        x = new_x
         if rec is not None:
             rec["x"][:, k + 1] = x
             if fold is not None and (k == width - 1 or t == steps):
@@ -376,9 +416,9 @@ def _run_block(spec: RunSpec, seeds: list[int], fold=None) -> list[Trace]:
                          cols["lr"][:, i - k:t])
     wall_ms = 1000.0 * (time.perf_counter() - started)
 
-    config = _resolved_config(spec)
+    configs = [_resolved_config(s) for s in specs]
     traces = []
-    for r, seed in enumerate(seeds):
+    for r, (s, seed) in enumerate(rows):
         n = recorded[r]
         diverged = x_final[r] is not None
         trace_dense = None
@@ -387,8 +427,8 @@ def _run_block(spec: RunSpec, seeds: list[int], fold=None) -> list[Trace]:
             trace_dense["x_final"] = x_final[r] if diverged else x[r].copy()
         meta = {
             "problem": prob.name,
-            "optimizer": spec.optimizer,
-            "config": dict(config, seed=seed),
+            "optimizer": s.optimizer,
+            "config": dict(configs[group[r]], seed=seed),
             "seed": seed,
             "diverged": diverged,
             "wall_ms": wall_ms,

@@ -368,6 +368,13 @@ class OptimizerEntry:
 _PADAM_DEFAULTS = asdict(PadamConfig())
 _ADAPTIVE_DEFAULTS = {k: v for k, v in _PADAM_DEFAULTS.items() if k != "p"}
 
+
+def _checked(kw: dict) -> dict:
+    """``kw``, once ``PadamConfig`` accepts the betas and epsilon in it."""
+    PadamConfig(**{k: v for k, v in kw.items() if k in _ADAPTIVE_DEFAULTS})
+    return kw
+
+
 # the single place to add an optimizer; order is the public OPTIMIZERS order
 REGISTRY: dict[str, OptimizerEntry] = {
     "padam": OptimizerEntry(
@@ -375,14 +382,14 @@ REGISTRY: dict[str, OptimizerEntry] = {
         defaults=_PADAM_DEFAULTS, vhat_field="v_hat", compare_lr=0.1,
         padam_config=lambda kw: PadamConfig(**kw)),
     "adam": OptimizerEntry(
-        bind=lambda kw: partial(adam_step, **kw),
+        bind=lambda kw: partial(adam_step, **_checked(kw)),
         defaults=_ADAPTIVE_DEFAULTS, vhat_field="v", compare_lr=0.001),
     "amsgrad": OptimizerEntry(
-        bind=lambda kw: partial(amsgrad_step, **kw),
+        bind=lambda kw: partial(amsgrad_step, **_checked(kw)),
         defaults=_ADAPTIVE_DEFAULTS, vhat_field="v_hat", compare_lr=0.001,
         padam_config=lambda kw: PadamConfig(p=0.5, **kw)),
     "adamw": OptimizerEntry(
-        bind=lambda kw: partial(adamw_step, **kw),
+        bind=lambda kw: partial(adamw_step, **_checked(kw)),
         defaults={**_ADAPTIVE_DEFAULTS, "weight_decay": 0.01},
         vhat_field="v", compare_lr=0.001),
     "sgdm": OptimizerEntry(
@@ -390,6 +397,6 @@ REGISTRY: dict[str, OptimizerEntry] = {
         defaults={"mu": 0.9}, vhat_field="v", compare_lr=0.1,
         flag_names={"mu": "momentum"}),
     "adagrad": OptimizerEntry(
-        bind=lambda kw: partial(adagrad_step, **kw),
+        bind=lambda kw: partial(adagrad_step, **_checked(kw)),
         defaults={"epsilon": 1e-8}, vhat_field="v", compare_lr=0.01),
 }

@@ -14,6 +14,7 @@ uncertified problems rather than guessing.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -364,8 +365,8 @@ _MLP_N = 1000
 _MLP_BATCH = 32
 _MLP_SEP = 1.8
 _MLP_FLIP = 0.04
-# rows per stacked value pass: each holds (rows, n, hidden) activations,
-# 0.5 MB at 4 rows, and the time per row is flat at 4-32 rows
+# rows per stacked full-batch pass: its scratch holds two (rows, n, hidden)
+# arrays, 0.5 MB each at 4 rows, and the time per row is flat at 4-32 rows
 _MLP_STACK = 4
 
 
@@ -381,25 +382,49 @@ def _mlp_unpack(theta: np.ndarray):
     return w1, b1, w2, b2
 
 
-def _mlp_eval(theta, feats, labels, want_grad):
+def _mlp_scratch(rows: int, n: int) -> dict:
+    """Room for ``_mlp_eval``'s intermediates on up to ``rows`` points and
+    ``n`` samples each."""
+    return {"h": np.empty((rows, n, _MLP_HIDDEN)),
+            "dz1": np.empty((rows, n, _MLP_HIDDEN)),
+            "logits": np.empty((rows, n, _MLP_OUT)),
+            **{k: np.empty((rows, n)) for k in ("l0", "l1", "top", "e")}}
+
+
+# each thread's scratch for the full-batch passes, made on first use and
+# shared by every MLP problem; a pass writes each entry before reading it,
+# so no call sees another's data. A `compare --problem mlp` operation takes
+# 9 minor page faults; allocating the stacked passes' temporaries anew took
+# 83,700, and scratch held per problem, mapped anew for each, 250
+_MLP_HELD = threading.local()
+
+
+def _mlp_eval(theta, feats, labels, want_grad, scratch=None):
     # one point or an (S, d) block, on the full data or on one minibatch
-    # per row; stacked, each row is bitwise its lone pass. In place where
-    # the formula allows, so a full-batch gradient holds two (n, hidden)
-    # arrays at once rather than five. The two classes are (n,) columns,
-    # faster than (n, 2) broadcasts and the same arithmetic
+    # per row; stacked, each row is bitwise its lone pass. The
+    # intermediates go to the leading rows of ``scratch`` (new arrays when
+    # it is None); the value and the gradient returned are new arrays.
+    # exp, log and tanh run on contiguous arrays only, as in a lone pass.
+    # The two classes are (n,) columns, faster than (n, 2) broadcasts and
+    # the same arithmetic
     theta = np.asarray(theta, dtype=np.float64)
+    lead = theta.shape[:-1]  # () for one point, (S,) for a block
+    if scratch is None:
+        scratch = _mlp_scratch(lead[0] if lead else 1, labels.shape[-1])
+    h, dz1, logits, l0, l1, top, e = (
+        a[:lead[0]] if lead else a[0] for a in scratch.values())
     w1, b1, w2, b2 = _mlp_unpack(theta)
-    h = feats @ w1
+    np.matmul(feats, w1, out=h)
     h += b1[..., None, :]
     np.tanh(h, out=h)
-    logits = h @ w2
-    l0 = logits[..., 0] + b2[..., 0, None]
-    l1 = logits[..., 1] + b2[..., 1, None]
-    top = np.maximum(l0, l1)
+    np.matmul(h, w2, out=logits)
+    np.add(logits[..., 0], b2[..., 0, None], out=l0)
+    np.add(logits[..., 1], b2[..., 1, None], out=l1)
+    np.maximum(l0, l1, out=top)
     l0 -= top
     l1 -= top
-    log_z = np.exp(l0)
-    log_z += np.exp(l1)
+    log_z = np.exp(l0, out=top)
+    log_z += np.exp(l1, out=e)
     np.log(log_z, out=log_z)
     l0 -= log_z  # the log-probabilities
     l1 -= log_z
@@ -409,18 +434,17 @@ def _mlp_eval(theta, feats, labels, want_grad):
     if not want_grad:
         return value, None
     delta = logits  # the softmax minus the one-hot label; x - 0 is x
-    np.subtract(np.exp(l0), 1 - labels, out=delta[..., 0])
-    np.subtract(np.exp(l1), labels, out=delta[..., 1])
+    np.subtract(np.exp(l0, out=e), 1 - labels, out=delta[..., 0])
+    np.subtract(np.exp(l1, out=e), labels, out=delta[..., 1])
     delta /= n
     g_w2 = np.swapaxes(h, -1, -2) @ delta
     g_b2 = delta.sum(axis=-2)
-    dz1 = delta @ np.swapaxes(w2, -1, -2)
+    np.matmul(delta, np.swapaxes(w2, -1, -2), out=dz1)
     np.multiply(h, h, out=h)
     np.subtract(1.0, h, out=h)
     dz1 *= h
     g_w1 = np.swapaxes(feats, -1, -2) @ dz1
     g_b1 = dz1.sum(axis=-2)
-    lead = theta.shape[:-1]
     return value, np.concatenate([g_w1.reshape(*lead, -1), g_b1,
                                   g_w2.reshape(*lead, -1), g_b2], axis=-1)
 
@@ -448,18 +472,16 @@ def make_mlp(task_seed: int) -> StochasticProblem:
     last = (None, 0.0)
 
     def full_batch(x, want_grad):
-        # value pass in stacked slices of _MLP_STACK rows, 93-95 us a row
-        # (117 lone, 2 cores); gradient pass row by row: stacked, `compare
-        # --problem mlp` was slower in 9 of 12 pairs, at 83,700 minor page
-        # faults an operation, not 18
+        scratch = getattr(_MLP_HELD, "scratch", None)
+        if scratch is None:
+            scratch = _MLP_HELD.scratch = _mlp_scratch(_MLP_STACK, _MLP_N)
         if x.ndim == 1:
-            return _mlp_eval(x, feats, labels, want_grad)
-        if not want_grad:
-            return np.concatenate([
-                _mlp_eval(x[k:k + _MLP_STACK], feats, labels, False)[0]
-                for k in range(0, len(x), _MLP_STACK)]), None
-        values, grads = zip(*[_mlp_eval(r, feats, labels, True) for r in x])
-        return np.array(values), np.stack(grads)
+            return _mlp_eval(x, feats, labels, want_grad, scratch)
+        values, grads = zip(*[
+            _mlp_eval(x[k:k + _MLP_STACK], feats, labels, want_grad, scratch)
+            for k in range(0, len(x), _MLP_STACK)])
+        return (np.concatenate(values),
+                np.concatenate(grads) if want_grad else None)
 
     def loss(x):
         x = np.asarray(x, dtype=np.float64)

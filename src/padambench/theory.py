@@ -512,9 +512,9 @@ def _folded_runs(spec: RunSpec, n_seeds: int, cfg: PadamConfig):
     """``(trace, fold, j)`` for the seeds ``iter_runs`` gives, in order:
     each block runs with a ``_Fold`` and records no dense histories; row
     ``j`` of ``fold`` holds the trace's checks."""
-    for seeds in _blocks(spec, n_seeds, folded=True):
-        fold = _Fold(cfg, len(seeds), spec.steps, spec.problem)
-        for j, trace in enumerate(_run_block(spec, seeds, fold)):
+    for rows in _blocks(spec, n_seeds, folded=True):
+        fold = _Fold(cfg, len(rows), spec.steps, spec.problem)
+        for j, trace in enumerate(_run_block(rows, fold)):
             yield trace, fold, j
 
 

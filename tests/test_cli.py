@@ -15,6 +15,7 @@ import pytest
 from padambench import (OPTIMIZERS, RunSpec, Schedule, make_quadratic,
                         read_trace_csv, run)
 from padambench.cli import main
+from padambench.optim import REGISTRY
 
 
 def read_rows(path):
@@ -440,3 +441,41 @@ def test_bad_list_token_names_its_key(argv, key, tmp_path, capsys):
     assert main(argv + ["--outdir", str(outdir)]) == 1
     assert not outdir.exists()
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("optimizer, flag, value", [
+    (name, flag, value)
+    for name in ("adam", "amsgrad", "adamw", "adagrad")
+    for flag, value in (("beta1", "1.5"), ("beta2", "1.5"),
+                        ("epsilon", "-0.5"))
+    if flag in REGISTRY[name].flags.values()
+])
+def test_bad_adaptive_hyperparameter_is_config_error(optimizer, flag, value,
+                                                     tmp_path, capsys):
+    assert main(["run", "--problem", "quadratic", "--optimizer", optimizer,
+                 f"--{flag}", value, "--steps", "5",
+                 "--outdir", str(tmp_path)]) == 1
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("argv, body, key", [
+    (["compare", "--problem", "quadratic", "--optimizers",
+      "padam,adam,padam"], None, "optimizers"),
+    (["sweep-p", "--problem", "quadratic", "--p-list", "0.1,0.10"], None,
+     "p-list"),
+    (["compare", "--problem", "quadratic"], {"optimizers": ["sgdm", "sgdm"]},
+     "optimizers"),
+    (["sweep-p", "--problem", "quadratic"], {"p-list": [0.25, 0.25]},
+     "p-list"),
+])
+def test_repeated_list_entry_names_its_key(argv, body, key, tmp_path,
+                                           capsys):
+    if body is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(body))
+        argv = argv + ["--config", str(cfg_path)]
+    outdir = tmp_path / "out"
+    assert main(argv + ["--steps", "5", "--outdir", str(outdir)]) == 1
+    assert not outdir.exists()
+    assert f"{key!r} repeats an entry" in capsys.readouterr().err

@@ -6,14 +6,17 @@ independent of the implementation under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from padambench import RunSpec, Schedule, make_quadratic, run
 from padambench.optim import (
     DimensionError,
     NumericError,
     OptState,
+    REGISTRY,
     PadamConfig,
     adagrad_step,
     adam_step,
@@ -503,3 +506,37 @@ def test_effective_lr_bounds_p_zero_and_uniform(v_hat, p, epsilon, expected):
 def test_effective_lr_bounds_requires_started_state():
     with pytest.raises(ValueError):
         effective_lr_bounds(init_state(2), 0.1, 0.25, 1e-8)
+
+
+# (optimizer, parameter, out-of-range value, PadamConfig's message) for the
+# adaptive parameters of every rule but padam, which checks its own
+_BAD_ADAPTIVE = [
+    (name, key, value, message)
+    for name in ("adam", "amsgrad", "adamw", "adagrad")
+    for key, value, message in (
+        ("beta1", 1.5, "beta1 must be in [0, 1), got 1.5"),
+        ("beta2", 1.5, "beta2 must be in (0, 1], got 1.5"),
+        ("epsilon", -0.5, "epsilon must be nonnegative, got -0.5"))
+    if key in REGISTRY[name].defaults
+]
+
+
+@pytest.mark.parametrize("name, key, value, message", _BAD_ADAPTIVE)
+def test_adaptive_hyperparameters_checked_where_bound(name, key, value,
+                                                      message):
+    entry = REGISTRY[name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry.bind({**entry.defaults, key: value})
+    spec = RunSpec(problem=make_quadratic(3), optimizer=name,
+                   opt_params={key: value},
+                   schedule=Schedule("constant", 0.01), steps=5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(spec)
+
+
+@pytest.mark.parametrize("name", ["adam", "amsgrad", "adamw", "adagrad"])
+def test_adaptive_hyperparameters_accept_their_range_ends(name):
+    entry = REGISTRY[name]
+    ends = {"beta1": 0.0, "beta2": 1.0, "epsilon": 0.0}
+    entry.bind({**entry.defaults,
+                **{k: v for k, v in ends.items() if k in entry.defaults}})

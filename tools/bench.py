@@ -14,11 +14,14 @@ Measures the checkout ``DIR`` (default: the one holding this script):
 - the wall time that acceptance criteria 02, 04 and 08 report, each run
   alone with ``pytest -k``;
 - ``padambench run`` at d = 1e5, 300 steps, once per optimizer;
+- the ``CLI_RUNS`` commands: ``compare`` on the MLP, ``sweep-p`` on the
+  quadratic, and a lone ``run`` at d = 10;
 - the line count of every module under ``src/padambench``.
 
-Each pytest and ``padambench run`` child also records its peak RSS and
+Each pytest and ``padambench`` child also records its peak RSS and
 minor page faults (``ru_maxrss``, ``ru_minflt`` from ``os.wait4``: the
-child and the children it waited for).
+child and the children it waited for); a ``padambench run`` child also
+the µs per step of its stepping loop, from its trace sidecar.
 
 Writes ``BENCH_<n>.json`` at the root of the checkout holding this script,
 so a parent checkout can be measured into the current tree. Each perfbench
@@ -44,6 +47,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 15)
 CRITERIA = {"02": "test_c02", "04": "test_c04", "08": "test_c08"}
 OPTIMIZERS = ("padam", "adam", "amsgrad", "adamw", "sgdm", "adagrad")
+# name -> padambench arguments of a child timed on its own
+CLI_RUNS = {
+    "compare-mlp": ["compare", "--problem", "mlp", "--steps", "2000",
+                    "--seeds", "5"],
+    "sweep-p-quadratic": ["sweep-p", "--problem", "quadratic", "--steps",
+                          "1000", "--seeds", "4"],
+    "run-d10": ["run", "--problem", "quadratic", "--dim", "10", "--steps",
+                "20000"],
+}
 
 
 def _child(argv: list[str], checkout: Path) -> tuple[str, dict]:
@@ -105,17 +117,32 @@ def _tier1(checkout: Path) -> dict:
             **counts, "child": child}
 
 
+def _cli_child(argv: list[str], checkout: Path) -> dict:
+    """A ``padambench`` child's resources; for a lone ``run``, also the
+    µs per step of its stepping loop (``wall_ms`` of its sidecar)."""
+    print(f"bench: padambench {' '.join(argv)}", flush=True)
+    with tempfile.TemporaryDirectory() as outdir:
+        child = _child([sys.executable, "-m", "padambench.cli", *argv,
+                        "--outdir", outdir], checkout)[1]
+        sidecar = Path(outdir) / "trace.meta.json"
+        if sidecar.exists():
+            steps = int(argv[argv.index("--steps") + 1])
+            wall_ms = json.loads(sidecar.read_text())["wall_ms"]
+            child["us_per_step"] = 1000.0 * wall_ms / steps
+    return child
+
+
 def _wide_runs(checkout: Path) -> dict:
     """``padambench run`` at d = 1e5 for each optimizer, one child each."""
-    runs = {}
-    with tempfile.TemporaryDirectory() as outdir:
-        for opt in OPTIMIZERS:
-            print(f"bench: wide run {opt}", flush=True)
-            runs[opt] = _child(
-                [sys.executable, "-m", "padambench.cli", "run", "--problem",
-                 "quadratic", "--dim", "100000", "--steps", "300",
-                 "--optimizer", opt, "--outdir", outdir], checkout)[1]
-    return runs
+    return {opt: _cli_child(["run", "--problem", "quadratic", "--dim",
+                             "100000", "--steps", "300", "--optimizer", opt],
+                            checkout)
+            for opt in OPTIMIZERS}
+
+
+def _cli_runs(checkout: Path) -> dict:
+    return {name: _cli_child(argv, checkout)
+            for name, argv in CLI_RUNS.items()}
 
 
 def _src_lines(checkout: Path) -> dict:
@@ -148,6 +175,7 @@ def main(argv=None) -> int:
         print(f"bench: criterion {tag}", flush=True)
         criteria[tag] = _criterion_seconds(checkout, tag, test)
     wide_runs = _wide_runs(checkout)
+    cli_runs = _cli_runs(checkout)
     record = {
         "n": args.n,
         "env": {"python": platform.python_version(), "numpy": np.__version__,
@@ -157,6 +185,7 @@ def main(argv=None) -> int:
         "tier1": tier1,
         "criteria": criteria,
         "wide_runs": wide_runs,
+        "cli_runs": cli_runs,
         "src_lines": _src_lines(checkout),
     }
     path = ROOT / f"BENCH_{args.n}.json"

@@ -73,6 +73,17 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
                            "60", "--seeds", "4"], {}),
     "compare-mlp": (["compare", "--problem", "mlp", "--steps", "30",
                      "--seeds", "3"], {}),
+    # one block across optimizers, some of whose rows diverge
+    "compare-diverging": (["compare", "--problem", "rosenbrock",
+                           "--lr", "0.5", "--steps", "100",
+                           "--seeds", "3"], {}),
+    # zero denominators under epsilon = 0 in a block across optimizers
+    "compare-sparse-eps0": (["compare", "--problem", "sparse-growth",
+                             "--sparsity", "0.1", "--epsilon", "0",
+                             "--steps", "50", "--seeds", "3"], {}),
+    # one block across exponents on the stacked MLP passes
+    "sweep-p-mlp": (["sweep-p", "--problem", "mlp", "--steps", "20",
+                     "--seeds", "5"], {}),
     **{f"verify-{suite}": (["verify", "--suite", suite, "--steps", "150",
                             "--seeds", "4", "--seed", "3"], {})
        for suite in ("reductions", "gradients", "trajectory", "bound",
