@@ -18,7 +18,6 @@ import dataclasses
 import json
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from .harness import (
     OPTIMIZERS,
     RunSpec,
     Schedule,
+    _COLUMNS,
     _SCHEDULE_KINDS,
     _atomic_write,
     _sidecar_path,
@@ -36,14 +36,7 @@ from .harness import (
     run,
     write_trace_csv,
 )
-from .optim import (
-    REGISTRY,
-    PadamConfig,
-    amsgrad_step,
-    init_state,
-    padam_step,
-    sgd_momentum_step,
-)
+from .optim import REGISTRY, PadamConfig
 from .problems import (
     finite_diff_grad,
     make_logistic,
@@ -464,37 +457,39 @@ def _cmd_compare(args) -> int:
 # --------------------------------------------------------------------------
 
 def _verify_reductions(steps: int, seed: int) -> dict:
-    """Drive each endpoint exponent side by side with the method it reduces
-    to, on one gradient stream, and report the worst relative split."""
+    """Run each endpoint exponent beside the method it reduces to, as one
+    harness block with every row on its own stream from ``seed``.
+    ``p = 1/2`` must follow amsgrad bit for bit; ``p = 0`` must follow
+    heavy-ball SGD at ``lr * (1 - beta1)`` to within ``tolerance``,
+    relative, at every iterate."""
     problem = make_quadratic(8, 10.0, 0.1)
-    rng = np.random.default_rng(seed)
-    x0 = 0.1 * rng.standard_normal(problem.dim)
-    lr = 1e-3
-    cfg = PadamConfig()
-    # exponent -> (report name, reference step, the lr it takes)
-    references = {
-        0.5: ("half", partial(amsgrad_step, beta1=cfg.beta1,
-                              beta2=cfg.beta2, epsilon=cfg.epsilon), lr),
-        0.0: ("zero", partial(sgd_momentum_step, mu=cfg.beta1),
-              lr * (1.0 - cfg.beta1)),
-    }
+    lr, mu = 1e-3, PadamConfig().beta1
+    traces = repeat_runs([
+        RunSpec(problem=problem, optimizer=name, opt_params=params,
+                schedule=Schedule("constant", rate), steps=steps, seed=seed,
+                record_dense=True)
+        for name, params, rate in (
+            ("padam", {"p": 0.5}, lr), ("amsgrad", {}, lr),
+            ("padam", {"p": 0.0}, lr), ("sgdm", {"mu": mu}, lr * (1.0 - mu)))
+    ], 1)
+    xs = [np.vstack([tr.dense["x"], tr.dense["x_final"]]) for tr in traces]
+    n = min(map(len, xs))  # a diverged row stops early
+    gaps = [float((np.abs(xp[:n] - xr[:n]).max(axis=1)
+                   / (1.0 + np.abs(xr[:n]).max(axis=1))).max())
+            for xp, xr in (xs[:2], xs[2:])]
+    half, amsgrad = traces[:2]
+    bitwise = xs[0].tobytes() == xs[1].tobytes() and all(
+        getattr(half, c).tobytes() == getattr(amsgrad, c).tobytes()
+        for c in _COLUMNS)
     tol = 1e-9
-    out = {"passed": True, "tolerance": tol, "steps": steps}
-    for p, (name, reference, ref_lr) in references.items():
-        padam_cfg = dataclasses.replace(cfg, p=p)
-        xp, xr = x0.copy(), x0.copy()
-        sp, sr = init_state(problem.dim), init_state(problem.dim)
-        worst = 0.0
-        for t in range(1, steps + 1):
-            g = problem.stoch_grad(xp, problem.sample_xi(rng, t))
-            sp, op = padam_step(sp, xp, g, lr, padam_cfg)
-            sr, orf = reference(sr, xr, g, ref_lr)
-            xp, xr = op.new_x, orf.new_x
-            gap = float(np.abs(xp - xr).max() / (1.0 + np.abs(xr).max()))
-            worst = max(worst, gap)
-        out[f"max_rel_gap_{name}_exponent"] = worst
-        out["passed"] = out["passed"] and worst <= tol
-    return out
+    return {
+        "passed": bitwise and gaps[1] <= tol
+        and not any(tr.diverged for tr in traces),
+        "tolerance": tol,
+        "steps": steps,
+        "max_rel_gap_half_exponent": gaps[0],
+        "max_rel_gap_zero_exponent": gaps[1],
+    }
 
 
 def _verify_gradients(seed: int) -> dict:

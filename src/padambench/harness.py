@@ -369,7 +369,7 @@ def _run_block(rows: list[tuple[RunSpec, int]], fold=None) -> list[Trace]:
             x = live_rows(x)
         g = live_rows(g)
         k = i % width
-        new_xs = []
+        new_xs, ms, vhats = [], [], []
         for q, (rs, schedule, stepper, vhat_field) in enumerate(groups):
             lr_t = schedule_lr(schedule, t)
             try:
@@ -385,24 +385,27 @@ def _run_block(rows: list[tuple[RunSpec, int]], fold=None) -> list[Trace]:
                 x, g = live_rows(x), live_rows(g)
                 state, out = stepper(states[q], x[rs], g[rs], lr_t)
             states[q] = state
-            vhat = getattr(state, vhat_field)
             cols["lr"][rs, i] = lr_t
             cols["eff_lr_min"][rs, i] = out.effective_lr_min
             cols["eff_lr_max"][rs, i] = out.effective_lr_max
-            cols["vhat_min"][rs, i] = vhat.min(axis=1)
-            cols["vhat_max"][rs, i] = vhat.max(axis=1)
-            if rec is not None:
-                rec["m"][rs, k] = state.m
-                rec["vhat"][rs, k] = vhat
             new_xs.append(out.new_x)
+            ms.append(state.m)
+            vhats.append(getattr(state, vhat_field))
         if not n_live:  # every row left raised NumericError
             break
+        # one pass a step over the groups' arrays joined; a lone group's
+        # are its own, and the block keeps its new_x
+        one = len(groups) == 1
+        vhat = vhats[0] if one else np.concatenate(vhats)
+        cols["vhat_min"][:, i] = vhat.min(axis=1)
+        cols["vhat_max"][:, i] = vhat.max(axis=1)
         if rec is not None:
             if k == 0:
                 rec["x"][:, 0] = x
             rec["g"][:, k] = g
-        # one group steps into its own array, which the block then keeps
-        new_x = new_xs[0] if len(new_xs) == 1 else np.concatenate(new_xs)
+            rec["m"][:, k] = ms[0] if one else np.concatenate(ms)
+            rec["vhat"][:, k] = vhat
+        new_x = new_xs[0] if one else np.concatenate(new_xs)
         if not np.isfinite(new_x).all():
             if halt(np.flatnonzero(~np.isfinite(new_x).all(axis=1)), t):
                 break

@@ -40,7 +40,6 @@ __all__ = [
     "adam_step",
     "adamw_step",
     "amsgrad_step",
-    "effective_lr_bounds",
     "init_state",
     "padam_step",
     "sgd_momentum_step",
@@ -259,6 +258,16 @@ def adam_step(
     return new_state, StepOutcome(x - update, lo, hi)
 
 
+def _check_weight_decay(weight_decay: float) -> None:
+    if weight_decay < 0.0:
+        raise ValueError(f"weight decay must be nonnegative, got {weight_decay}")
+
+
+def _check_mu(mu: float) -> None:
+    if not 0.0 <= mu < 1.0:
+        raise ValueError(f"momentum must be in [0, 1), got {mu}")
+
+
 def adamw_step(
     state: OptState,
     x: np.ndarray,
@@ -270,8 +279,7 @@ def adamw_step(
     weight_decay: float,
 ) -> tuple[OptState, StepOutcome]:
     """Adaptive step plus decoupled weight decay on the pre-step iterate."""
-    if weight_decay < 0.0:
-        raise ValueError(f"weight decay must be nonnegative, got {weight_decay}")
+    _check_weight_decay(weight_decay)
     x64 = np.asarray(x, dtype=np.float64)
     new_state, out = adam_step(state, x, g, lr, beta1, beta2, epsilon)
     new_x = out.new_x  # adam_step's own array
@@ -292,8 +300,7 @@ def sgd_momentum_step(
     The momentum buffer lives in the ``m`` slot; ``v`` and ``v_hat`` pass
     through untouched.
     """
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"momentum must be in [0, 1), got {mu}")
+    _check_mu(mu)
     x, g = _prepare(state, x, g, lr)
     b = mu * state.m + g
     new_state = OptState(m=b, v=state.v, v_hat=state.v_hat, t=state.t + 1)
@@ -326,20 +333,6 @@ def adagrad_step(
     return new_state, StepOutcome(x - update, lo, hi)
 
 
-def effective_lr_bounds(
-    state: OptState, lr: float, p: float, epsilon: float
-) -> tuple[float, float]:
-    """Smallest and largest per-coordinate step scaling ``lr / (v_hat+eps)**p``.
-
-    Requires a state that has taken at least one step. Coordinates whose
-    denominator is exactly zero make the upper bound infinite.
-    """
-    if state.t < 1:
-        raise ValueError("effective lr is undefined before the first step")
-    denom = (state.v_hat + epsilon) ** p
-    return _lr_range(lr, denom)[:2]
-
-
 @dataclass(frozen=True)
 class OptimizerEntry:
     """What the harness, the CLI and the theory checks know of an optimizer.
@@ -370,8 +363,13 @@ _ADAPTIVE_DEFAULTS = {k: v for k, v in _PADAM_DEFAULTS.items() if k != "p"}
 
 
 def _checked(kw: dict) -> dict:
-    """``kw``, once ``PadamConfig`` accepts the betas and epsilon in it."""
+    """``kw``, once ``PadamConfig`` accepts the betas and epsilon in it and
+    its momentum and weight decay pass their step rule's own checks."""
     PadamConfig(**{k: v for k, v in kw.items() if k in _ADAPTIVE_DEFAULTS})
+    if "mu" in kw:
+        _check_mu(kw["mu"])
+    if "weight_decay" in kw:
+        _check_weight_decay(kw["weight_decay"])
     return kw
 
 
@@ -393,7 +391,7 @@ REGISTRY: dict[str, OptimizerEntry] = {
         defaults={**_ADAPTIVE_DEFAULTS, "weight_decay": 0.01},
         vhat_field="v", compare_lr=0.001),
     "sgdm": OptimizerEntry(
-        bind=lambda kw: partial(sgd_momentum_step, **kw),
+        bind=lambda kw: partial(sgd_momentum_step, **_checked(kw)),
         defaults={"mu": 0.9}, vhat_field="v", compare_lr=0.1,
         flag_names={"mu": "momentum"}),
     "adagrad": OptimizerEntry(

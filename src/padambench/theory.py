@@ -195,57 +195,36 @@ def optimal_alpha(dim: int, steps: int, s: float, scale: float = 1.0) -> float:
 @dataclass(frozen=True)
 class GrowthEstimate:
     s: float
-    slope: float
     degenerate: bool
 
 
 class _GrowthFold:
     """``estimate_growth_s`` over ``rows`` gradient streams of ``steps``
     steps, fed ``(S, n, d)`` windows in order. Keeps the running
-    ``cumsum(g*g)`` as its last row, the largest ``|g|``, and the per-step
-    maxima of the running norms over the back half, which the slope fits;
-    ``cumsum`` adds step by step, so any split into windows gives the same
-    bits."""
+    ``cumsum(g*g)`` as its last row and the largest ``|g|``; ``cumsum``
+    adds step by step, so any split into windows gives the same bits."""
 
     def __init__(self, rows: int, steps: int):
         self.steps, self.seen = steps, 0
         self.cum = None  # sum of g*g per coordinate through the last window
         self.g_max = np.full(rows, -math.inf)
-        self.tail = np.empty((rows, steps - steps // 2))
 
     def add(self, g: np.ndarray) -> None:
         sq = g * g
         if self.cum is not None:
             sq[:, 0] += self.cum
-        cum = np.cumsum(sq, axis=1)
-        self.cum = cum[:, -1].copy()
+        self.cum = np.cumsum(sq, axis=1)[:, -1].copy()
         self.g_max = np.maximum(self.g_max, np.abs(g).max(axis=(1, 2)))
-        half, first, n = self.steps // 2, self.seen, g.shape[1]
-        lo = max(first, half)
-        if lo < first + n:
-            self.tail[:, lo - half:first + n - half] = \
-                np.sqrt(cum[:, lo - first:]).max(axis=-1)
-        self.seen += n
+        self.seen += g.shape[1]
 
     def estimate(self, j: int, g_inf: float | None) -> GrowthEstimate:
-        steps = self.steps
         final_max = float(np.sqrt(self.cum[j]).max())
         if final_max == 0.0:
-            return GrowthEstimate(s=0.0, slope=0.0, degenerate=True)
+            return GrowthEstimate(s=0.0, degenerate=True)
         if g_inf is None:
             g_inf = float(self.g_max[j])
-        raw = math.log(final_max / g_inf) / math.log(steps)
-        s = min(0.5, max(0.0, raw))
-
-        tail = np.arange(steps // 2, steps)
-        ys = self.tail[j]
-        keep = ys > 0.0
-        if keep.sum() >= 2:
-            slope = float(np.polyfit(np.log(tail[keep] + 1.0),
-                                     np.log(ys[keep]), 1)[0])
-        else:
-            slope = 0.0
-        return GrowthEstimate(s=s, slope=slope, degenerate=False)
+        raw = math.log(final_max / g_inf) / math.log(self.steps)
+        return GrowthEstimate(s=min(0.5, max(0.0, raw)), degenerate=False)
 
 
 def estimate_growth_s(
@@ -256,9 +235,8 @@ def estimate_growth_s(
 
     The point estimate is the smallest ``s`` with
     ``max_i ||g_{1:T,i}||_2 <= g_inf * T**s`` pathwise, clamped to
-    ``[0, 1/2]``. ``slope`` is a least-squares diagnostic fitted to the
-    running maximum over the back half of the stream. An all-zero stream
-    is flagged degenerate and reports ``s = 0``.
+    ``[0, 1/2]``. An all-zero stream is flagged degenerate and reports
+    ``s = 0``.
     """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] < 2:
@@ -424,9 +402,12 @@ class _Fold:
         name = "z_step_bound"
         if trace.diverged:
             return _skip(name, "trace diverged")
-        if not self.monotone[j]:
-            return _skip(name, "effective lr is not nonincreasing")
         slack = self.slack[j]
+        if not self.monotone[j]:
+            # every Schedule is nonincreasing, so v_hat fell
+            return CheckResult(name, "fail", float(slack),
+                               "effective lr rose: v_hat is not a running "
+                               "maximum")
         status = "pass" if slack >= -1e-9 else "fail"
         return CheckResult(name, status, float(slack),
                            f"worst normalized slack {slack:.3e}")
@@ -544,7 +525,7 @@ def check_z_step_bound(trace: Trace, cfg: PadamConfig) -> CheckResult:
     """Increment bound: ``||z_{t+1} - z_t||`` is at most the gradient part
     plus ``c`` times the previous iterate displacement. Needs the
     effective lr to be nonincreasing, which monotone ``v_hat`` plus a
-    nonincreasing schedule guarantees."""
+    nonincreasing schedule guarantees; a rise fails the check."""
     return _one_window(trace, cfg).z_step_bound(0, trace)
 
 

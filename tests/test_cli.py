@@ -459,6 +459,23 @@ def test_bad_adaptive_hyperparameter_is_config_error(optimizer, flag, value,
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("optimizer, flag, value, message", [
+    ("sgdm", "momentum", "1.5", "momentum must be in [0, 1), got 1.5"),
+    ("adamw", "weight-decay", "-1",
+     "weight decay must be nonnegative, got -1.0"),
+])
+def test_bad_momentum_or_weight_decay_is_config_error(
+        command, optimizer, flag, value, message, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    which = (["--optimizer", optimizer] if command == "run"
+             else ["--optimizers", f"padam,{optimizer}"])
+    assert main([command, "--problem", "quadratic", *which, f"--{flag}",
+                 value, "--steps", "5", "--outdir", str(outdir)]) == 1
+    assert message in capsys.readouterr().err
+    assert not any(outdir.glob("*.csv"))
+
+
 @pytest.mark.parametrize("argv, body, key", [
     (["compare", "--problem", "quadratic", "--optimizers",
       "padam,adam,padam"], None, "optimizers"),

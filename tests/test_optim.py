@@ -22,7 +22,6 @@ from padambench.optim import (
     adam_step,
     adamw_step,
     amsgrad_step,
-    effective_lr_bounds,
     init_state,
     padam_step,
     sgd_momentum_step,
@@ -479,7 +478,10 @@ def test_zero_gradient_absorbing_from_rest():
 
 def test_effective_lr_bounds_basic():
     st = OptState(m=np.zeros(2), v=np.zeros(2), v_hat=np.array([0.04, 3e-8]), t=5)
-    lo, hi = effective_lr_bounds(st, lr=1.0, p=0.125, epsilon=0.0)
+    # a zero gradient leaves v_hat as it is
+    _, out = padam_step(st, np.ones(2), np.zeros(2), 1.0,
+                        PadamConfig(p=0.125, epsilon=0.0))
+    lo, hi = out.effective_lr_min, out.effective_lr_max
     np.testing.assert_allclose(hi / lo, (0.04 / 3e-8) ** 0.125, rtol=1e-12)
     # representative vhat extremes give a ~0.55 spread of vhat^p itself
     np.testing.assert_allclose(0.04**0.125 - (3e-8) ** 0.125, 0.554, atol=5e-4)
@@ -494,7 +496,6 @@ def test_effective_lr_bounds_basic():
 def test_effective_lr_bounds_p_zero_and_uniform(v_hat, p, epsilon, expected):
     v_hat = np.array(v_hat)
     st = OptState(m=np.zeros_like(v_hat), v=v_hat, v_hat=v_hat, t=1)
-    assert effective_lr_bounds(st, 0.2, p, epsilon) == (expected, expected)
     # a step whose squared gradient stays below v_hat leaves it unchanged
     g = np.where(v_hat > 0.0, 0.5, 0.0)
     _, out = padam_step(st, np.ones_like(v_hat), g, 0.2,
@@ -503,13 +504,9 @@ def test_effective_lr_bounds_p_zero_and_uniform(v_hat, p, epsilon, expected):
     assert np.isfinite(out.new_x).all()
 
 
-def test_effective_lr_bounds_requires_started_state():
-    with pytest.raises(ValueError):
-        effective_lr_bounds(init_state(2), 0.1, 0.25, 1e-8)
-
-
-# (optimizer, parameter, out-of-range value, PadamConfig's message) for the
-# adaptive parameters of every rule but padam, which checks its own
+# (optimizer, parameter, out-of-range value, message) for the parameters of
+# every rule but padam, which checks its own: PadamConfig's message for the
+# adaptive ones, the step rule's own for sgdm's momentum and adamw's decay
 _BAD_ADAPTIVE = [
     (name, key, value, message)
     for name in ("adam", "amsgrad", "adamw", "adagrad")
@@ -518,6 +515,10 @@ _BAD_ADAPTIVE = [
         ("beta2", 1.5, "beta2 must be in (0, 1], got 1.5"),
         ("epsilon", -0.5, "epsilon must be nonnegative, got -0.5"))
     if key in REGISTRY[name].defaults
+] + [
+    ("sgdm", "mu", 1.5, "momentum must be in [0, 1), got 1.5"),
+    ("adamw", "weight_decay", -1.0,
+     "weight decay must be nonnegative, got -1.0"),
 ]
 
 

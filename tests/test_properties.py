@@ -29,7 +29,6 @@ from padambench.optim import (
     adagrad_step,
     adam_step,
     amsgrad_step,
-    effective_lr_bounds,
     init_state,
     padam_step,
     sgd_momentum_step,
@@ -118,8 +117,10 @@ def test_vhat_is_nondecreasing(cfg, stream):
 def test_effective_lr_bounds_match_step_outcome(cfg, stream):
     pairs, _ = _steps(partial(padam_step, lr=LR, cfg=cfg), stream)
     for state, out in pairs:
-        assert effective_lr_bounds(state, LR, cfg.p, cfg.epsilon) == (
-            out.effective_lr_min, out.effective_lr_max)
+        denom = (state.v_hat + cfg.epsilon) ** cfg.p
+        lo, hi = (LR / d if d > 0.0 else math.inf
+                  for d in (denom.max(), denom.min()))
+        assert (lo, hi) == (out.effective_lr_min, out.effective_lr_max)
 
 
 @property_test

@@ -15,13 +15,16 @@ Measures the checkout ``DIR`` (default: the one holding this script):
   alone with ``pytest -k``;
 - ``padambench run`` at d = 1e5, 300 steps, once per optimizer;
 - the ``CLI_RUNS`` commands: ``compare`` on the MLP, ``sweep-p`` on the
-  quadratic, and a lone ``run`` at d = 10;
+  quadratic, a lone ``run`` at d = 10, and ``verify --suite all`` at
+  perfbench's ``verify-all`` shape;
 - the line count of every module under ``src/padambench``.
 
 Each pytest and ``padambench`` child also records its peak RSS and
 minor page faults (``ru_maxrss``, ``ru_minflt`` from ``os.wait4``: the
 child and the children it waited for); a ``padambench run`` child also
-the µs per step of its stepping loop, from its trace sidecar.
+the µs per step of its stepping loop, from its trace sidecar, and a
+``padambench verify --suite all`` child each suite's ``wall_ms`` from its
+``report.json``.
 
 Writes ``BENCH_<n>.json`` at the root of the checkout holding this script,
 so a parent checkout can be measured into the current tree. Each perfbench
@@ -55,6 +58,8 @@ CLI_RUNS = {
                           "1000", "--seeds", "4"],
     "run-d10": ["run", "--problem", "quadratic", "--dim", "10", "--steps",
                 "20000"],
+    "verify-all": ["verify", "--suite", "all", "--steps", "1000", "--seeds",
+                   "6", "--dim", "10"],
 }
 
 
@@ -119,7 +124,8 @@ def _tier1(checkout: Path) -> dict:
 
 def _cli_child(argv: list[str], checkout: Path) -> dict:
     """A ``padambench`` child's resources; for a lone ``run``, also the
-    µs per step of its stepping loop (``wall_ms`` of its sidecar)."""
+    µs per step of its stepping loop (``wall_ms`` of its sidecar), and
+    for ``verify --suite all``, the ``wall_ms`` of each suite."""
     print(f"bench: padambench {' '.join(argv)}", flush=True)
     with tempfile.TemporaryDirectory() as outdir:
         child = _child([sys.executable, "-m", "padambench.cli", *argv,
@@ -129,6 +135,11 @@ def _cli_child(argv: list[str], checkout: Path) -> dict:
             steps = int(argv[argv.index("--steps") + 1])
             wall_ms = json.loads(sidecar.read_text())["wall_ms"]
             child["us_per_step"] = 1000.0 * wall_ms / steps
+        report = Path(outdir) / "report.json"
+        if report.exists():
+            suites = json.loads(report.read_text())["suites"]
+            child["suite_wall_ms"] = {name: s.get("wall_ms")
+                                      for name, s in suites.items()}
     return child
 
 

@@ -88,6 +88,11 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
                             "--seeds", "4", "--seed", "3"], {})
        for suite in ("reductions", "gradients", "trajectory", "bound",
                      "all")},
+    # the shortest run, and a long one on the held-out seed
+    "verify-reductions-2": (["verify", "--suite", "reductions", "--steps",
+                             "2"], {}),
+    "verify-reductions-1000": (["verify", "--suite", "reductions",
+                                "--steps", "1000", "--seed", "15"], {}),
     # 17 seeds cross a block boundary
     "verify-bound-seeds17": (["verify", "--suite", "bound", "--steps", "100",
                               "--seeds", "17"], {}),
