@@ -186,6 +186,12 @@ _STATE_ROWS = 10  # (S, d) arrays alive in a step: x, g, the state, temporaries
 # 360,000 minor faults a 10^4-step run, 16-step windows 6,400
 _WINDOW = 64
 _WINDOW_FLOATS = 1 << 14
+# a block whose first draw is an ndarray of at least this many bytes makes
+# each next draw on a worker thread while the step runs. Time a step drawing
+# ahead over drawing inline (padam, quadratic, 2 cores): 1.6 for lone runs
+# at d = 10 and 4096; 1.0-1.2 for draws of 256 and 384 KiB, of 1, 2 or 16
+# rows; 0.6-1.1 at 512 KiB; 0.6 from 625 KiB (a lone run at d = 80,000) up
+_PREFETCH_BYTES = 1 << 19
 
 
 def run(spec: RunSpec) -> Trace:
@@ -242,6 +248,28 @@ def repeat_runs(specs, n_seeds: int) -> list[Trace]:
 
     Each trace is bitwise the one ``run`` gives for its spec and seed."""
     return list(iter_runs(specs, n_seeds))
+
+
+def _draws(sample_xi, rngs, steps: int):
+    """Yield ``sample_xi(rngs, t)`` for ``t = 1..steps``. Where the first
+    draw is an ndarray of at least ``_PREFETCH_BYTES``, draw ``t + 1`` runs
+    on a worker thread while the caller uses draw ``t``, one call at a
+    time and in step order, so each is bitwise the inline draw. Closing
+    waits for the draw in flight, which goes unread, and stops the worker."""
+    xi = sample_xi(rngs, 1)
+    if not (isinstance(xi, np.ndarray) and xi.nbytes >= _PREFETCH_BYTES):
+        yield xi
+        for t in range(2, steps + 1):
+            yield sample_xi(rngs, t)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # lazily: setup time
+
+    with ThreadPoolExecutor(1) as worker:
+        for t in range(2, steps + 1):
+            ahead = worker.submit(sample_xi, rngs, t)
+            yield xi
+            xi = ahead.result()
+        yield xi
 
 
 def _raises(stepper, state: OptState, x, g, lr: float, j: int) -> bool:
@@ -344,79 +372,84 @@ def _run_block(rows: list[tuple[RunSpec, int]], fold=None) -> list[Trace]:
         return a if n_live == S else np.where(live[:, None], a, 0.0)
 
     loss, exact_grad = prob.loss, prob.exact_grad
-    stoch_grad, sample_xi = prob.stoch_grad, prob.sample_xi
+    stoch_grad = prob.stoch_grad
     loss_col, gns_col = cols["loss"], cols["grad_norm_sq"]
+    draws = _draws(prob.sample_xi, rngs, steps)
     started = time.perf_counter()
-    for t in range(1, steps + 1):
-        i = t - 1
-        # gradient first: an oracle may reuse that pass for the loss
-        g_exact = exact_grad(x)
-        f = loss_col[:, i] = loss(x)
-        gns = gns_col[:, i] = _rowdot(g_exact, g_exact)
-        g = stoch_grad(x, sample_xi(rngs, t))
-        # rows stopping at the loss check, which precedes the box check
-        ok = math.isfinite(f.sum() + gns.sum() + g.sum())  # then none stops
-        at_loss = live & (not ok and ~(np.isfinite(f) & np.isfinite(gns)))
-        if None in box_exit and np.abs(x).max() > prob.box:
-            for j in np.flatnonzero(np.abs(x).max(axis=1) > prob.box):
-                if box_exit[j] is None and not at_loss[j]:
-                    box_exit[j] = t
-        stop = () if ok else np.flatnonzero(
-            at_loss | live & ~np.isfinite(g).all(axis=1))
-        if len(stop):
-            if halt(stop, t - 1):
+    try:
+        for t, xi in zip(range(1, steps + 1), draws):
+            i = t - 1
+            # gradient first: an oracle may reuse that pass for the loss
+            g_exact = exact_grad(x)
+            f = loss_col[:, i] = loss(x)
+            gns = gns_col[:, i] = _rowdot(g_exact, g_exact)
+            g = stoch_grad(x, xi)
+            ok = math.isfinite(f.sum() + gns.sum() + g.sum())  # none stops
+            # rows stopping at the loss check, which precedes the box check
+            at_loss = live & (not ok and ~(np.isfinite(f) & np.isfinite(gns)))
+            if None in box_exit and np.abs(x).max() > prob.box:
+                for j in np.flatnonzero(np.abs(x).max(axis=1) > prob.box):
+                    if box_exit[j] is None and not at_loss[j]:
+                        box_exit[j] = t
+            stop = () if ok else np.flatnonzero(
+                at_loss | live & ~np.isfinite(g).all(axis=1))
+            if len(stop):
+                if halt(stop, t - 1):
+                    break
+                x = live_rows(x)
+            g = live_rows(g)
+            k = i % width
+            new_xs, ms, vhats = [], [], []
+            for q, (rs, schedule, stepper, vhat_field) in enumerate(groups):
+                lr_t = schedule_lr(schedule, t)
+                try:
+                    state, out = stepper(states[q], x[rs], g[rs], lr_t)
+                except NumericError:
+                    # rare: stop the rows that raise on their own, step
+                    # the rest
+                    stop = [j for j in range(rs.start, rs.stop) if live[j]
+                            and _raises(stepper, states[q], x[rs], g[rs], lr_t,
+                                        j - rs.start)]
+                    if not stop:
+                        raise
+                    halt(stop, t - 1)
+                    x, g = live_rows(x), live_rows(g)
+                    state, out = stepper(states[q], x[rs], g[rs], lr_t)
+                states[q] = state
+                cols["lr"][rs, i] = lr_t
+                cols["eff_lr_min"][rs, i] = out.effective_lr_min
+                cols["eff_lr_max"][rs, i] = out.effective_lr_max
+                new_xs.append(out.new_x)
+                ms.append(state.m)
+                vhats.append(getattr(state, vhat_field))
+            if not n_live:  # every row left raised NumericError
                 break
-            x = live_rows(x)
-        g = live_rows(g)
-        k = i % width
-        new_xs, ms, vhats = [], [], []
-        for q, (rs, schedule, stepper, vhat_field) in enumerate(groups):
-            lr_t = schedule_lr(schedule, t)
-            try:
-                state, out = stepper(states[q], x[rs], g[rs], lr_t)
-            except NumericError:
-                # rare: stop the rows that raise on their own, step the rest
-                stop = [j for j in range(rs.start, rs.stop) if live[j]
-                        and _raises(stepper, states[q], x[rs], g[rs], lr_t,
-                                    j - rs.start)]
-                if not stop:
-                    raise
-                halt(stop, t - 1)
-                x, g = live_rows(x), live_rows(g)
-                state, out = stepper(states[q], x[rs], g[rs], lr_t)
-            states[q] = state
-            cols["lr"][rs, i] = lr_t
-            cols["eff_lr_min"][rs, i] = out.effective_lr_min
-            cols["eff_lr_max"][rs, i] = out.effective_lr_max
-            new_xs.append(out.new_x)
-            ms.append(state.m)
-            vhats.append(getattr(state, vhat_field))
-        if not n_live:  # every row left raised NumericError
-            break
-        # one pass a step over the groups' arrays joined; a lone group's
-        # are its own, and the block keeps its new_x
-        one = len(groups) == 1
-        vhat = vhats[0] if one else np.concatenate(vhats)
-        cols["vhat_min"][:, i] = vhat.min(axis=1)
-        cols["vhat_max"][:, i] = vhat.max(axis=1)
-        if rec is not None:
-            if k == 0:
-                rec["x"][:, 0] = x
-            rec["g"][:, k] = g
-            rec["m"][:, k] = ms[0] if one else np.concatenate(ms)
-            rec["vhat"][:, k] = vhat
-        new_x = new_xs[0] if one else np.concatenate(new_xs)
-        if not np.isfinite(new_x).all():
-            if halt(np.flatnonzero(~np.isfinite(new_x).all(axis=1)), t):
-                break
-            new_x[~live] = 0.0
-        x = new_x
-        if rec is not None:
-            rec["x"][:, k + 1] = x
-            if fold is not None and (k == width - 1 or t == steps):
-                fold.add(rec["x"][:, :k + 2], rec["g"][:, :k + 1],
-                         rec["m"][:, :k + 1], rec["vhat"][:, :k + 1],
-                         cols["lr"][:, i - k:t])
+            # one pass a step over the groups' arrays joined; a lone group's
+            # are its own, and the block keeps its new_x
+            one = len(groups) == 1
+            vhat = vhats[0] if one else np.concatenate(vhats)
+            cols["vhat_min"][:, i] = vhat.min(axis=1)
+            cols["vhat_max"][:, i] = vhat.max(axis=1)
+            if rec is not None:
+                if k == 0:
+                    rec["x"][:, 0] = x
+                rec["g"][:, k] = g
+                rec["m"][:, k] = ms[0] if one else np.concatenate(ms)
+                rec["vhat"][:, k] = vhat
+            new_x = new_xs[0] if one else np.concatenate(new_xs)
+            if not np.isfinite(new_x).all():
+                if halt(np.flatnonzero(~np.isfinite(new_x).all(axis=1)), t):
+                    break
+                new_x[~live] = 0.0
+            x = new_x
+            if rec is not None:
+                rec["x"][:, k + 1] = x
+                if fold is not None and (k == width - 1 or t == steps):
+                    fold.add(rec["x"][:, :k + 2], rec["g"][:, :k + 1],
+                             rec["m"][:, :k + 1], rec["vhat"][:, :k + 1],
+                             cols["lr"][:, i - k:t])
+    finally:  # on every way out, the worker stops
+        draws.close()
     wall_ms = 1000.0 * (time.perf_counter() - started)
 
     configs = [_resolved_config(s) for s in specs]

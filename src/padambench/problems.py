@@ -87,6 +87,13 @@ class StochasticProblem:
     is bitwise ``sample_xi(rngs[j], t)``; the stochastic oracles take that
     block with the block of points. A noiseless problem draws ``None`` in
     both forms.
+
+    Threading contract: draws depend on no iterate, so the harness may
+    call ``sample_xi`` on another thread, one step ahead of the step that
+    uses the draw, one call at a time and in step order, while the other
+    oracles run. It does so where the first draw is an ndarray of at
+    least ``harness._PREFETCH_BYTES``. A draw may touch only its
+    generators and must return a new array each call.
     """
 
     name: str

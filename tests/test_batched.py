@@ -141,6 +141,27 @@ def test_mixed_specs_cross_a_block_boundary(monkeypatch):
     assert len(set(walls[:16])) == 1 and walls[16] == walls[17] != walls[0]
 
 
+@pytest.mark.parametrize("make, lr, params", [
+    (lambda: make_quadratic(5, 8.0, 0.1), None, {}),
+    (lambda: make_mlp(0), None, {}),
+    (lambda: make_rosenbrock(4), 0.5, {}),  # some rows diverge
+    (lambda: make_sparse_growth(6, sparsity=0.1, seed=0), None,
+     {"epsilon": 0.0}),
+    (_tiny_gradient_problem, 0.05, {"epsilon": 0.0}),  # NumericError rows
+])
+def test_mixed_block_draws_ahead_equal_inline(make, lr, params, monkeypatch):
+    # each next draw on the worker thread, against every draw inline, in
+    # blocks of 16 rows: the 18 rows cross a block boundary
+    monkeypatch.setattr(harness, "_BLOCK_BYTES", 0)
+    specs = _specs(make(), 30, lr, record_dense=True, **params)
+    runs = []
+    for prefetch in (1 << 62, 0):
+        monkeypatch.setattr(harness, "_PREFETCH_BYTES", prefetch)
+        runs.append(repeat_runs(specs, 3))
+    for inline, ahead in zip(*runs, strict=True):
+        _assert_same_trace(inline, ahead)
+
+
 @pytest.mark.parametrize("change", [
     {"problem": make_quadratic(5, 8.0, 0.1)},  # equal, but not the same
     {"steps": 31},

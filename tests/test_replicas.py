@@ -4,7 +4,8 @@
 ``spec.seed + k`` for every optimizer on every problem, and on blocks in
 which some replicas stop early while the others run on. The byte budget
 is patched to zero, so blocks hold their 16-row minimum and eighteen seeds
-cross a block boundary.
+cross a block boundary. A block that makes each next draw one step ahead
+on a worker thread must equal the block that draws inline, bitwise.
 """
 
 import dataclasses
@@ -344,14 +345,17 @@ def test_mixed_block_loss_check_before_first_step(optimizer, lr):
     assert_stopped_rows_stay_zero(spec)
 
 
-def assert_fold_matches_dense(spec, n_seeds, monkeypatch):
+def assert_fold_matches_dense(spec, n_seeds, monkeypatch, ahead=False):
     """The checks folded while a block runs, window by window, equal the
     one-window fold over each dense trace: verdicts and details identical,
     margins, the growth estimate and ``v_hat_1`` bitwise, for windows of
     one step, of a size that divides nothing, of 64 steps, of the whole
-    run and of more than the run."""
+    run and of more than the run. The dense runs draw inline; with
+    ``ahead``, the folded runs draw each next step on the worker thread."""
     problem = spec.problem
     dense = repeat_runs(dataclasses.replace(spec, record_dense=True), n_seeds)
+    if ahead:
+        monkeypatch.setattr(harness, "_PREFETCH_BYTES", 0)
     entry = REGISTRY[spec.optimizer]
     cfg = entry.padam_config(dense[0].meta["config"]["optimizer-params"])
     steps = spec.steps
@@ -432,3 +436,61 @@ def test_fold_matches_dense_on_random_configurations(monkeypatch):
             steps=int(master.integers(30, 131)),
             seed=int(master.integers(0, 10_000)))
         assert_fold_matches_dense(spec, 3, monkeypatch)
+
+
+# --------------------------------------------- the draw made one step ahead
+
+
+def assert_ahead_equals_inline(specs, n_seeds, monkeypatch):
+    """``repeat_runs`` with each next draw made on the worker thread while
+    the step runs equals the run that draws inline: every trace column and
+    every dense history byte for byte."""
+    monkeypatch.setattr(harness, "_PREFETCH_BYTES", 1 << 62)  # never
+    inline = repeat_runs(specs, n_seeds)
+    monkeypatch.setattr(harness, "_PREFETCH_BYTES", 0)  # every ndarray draw
+    ahead = repeat_runs(specs, n_seeds)
+    for a, b in zip(inline, ahead, strict=True):
+        assert_same_trace(a, b)
+    return ahead
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_draws_ahead_equal_inline_draws(optimizer, problem, monkeypatch):
+    spec = RunSpec(problem=PROBLEMS[problem](), optimizer=optimizer,
+                   opt_params={},
+                   schedule=Schedule("inv_sqrt",
+                                     REGISTRY[optimizer].compare_lr),
+                   steps=25, seed=5, record_dense=True)
+    assert_ahead_equals_inline(spec, N_SEEDS, monkeypatch)
+
+
+@pytest.mark.parametrize("make, optimizer, params, lr, steps, box_exits", [
+    # rows leave the box, then diverge, at different steps
+    (lambda: make_quadratic(5), "sgdm", {}, 0.5, 350, True),
+    (_tiny_gradient_problem, "padam", {"epsilon": 0.0}, 0.05, 60, False),
+    (_nan_gradient_problem, "adam", {}, 0.001, 80, False),
+    (_spike_problem, "sgdm", {}, 10.0, 60, True),
+    (_cliff_problem, "padam", {}, 0.01, 40, False),
+])
+def test_draws_ahead_on_blocks_whose_rows_stop(make, optimizer, params, lr,
+                                               steps, box_exits, monkeypatch):
+    spec = RunSpec(problem=make(), optimizer=optimizer, opt_params=params,
+                   schedule=Schedule("constant", lr), steps=steps, seed=0,
+                   record_dense=True)
+    traces = assert_ahead_equals_inline(spec, N_SEEDS, monkeypatch)
+    assert any(tr.diverged for tr in traces)
+    assert not all(tr.diverged for tr in traces)
+    assert any(tr.box_exit is not None for tr in traces) is box_exits
+
+
+def test_fold_ahead_matches_dense_inline(monkeypatch):
+    for spec in (
+        RunSpec(problem=_tiny_gradient_problem(), optimizer="padam",
+                opt_params={"epsilon": 0.0},
+                schedule=Schedule("constant", 0.05), steps=60, seed=0),
+        RunSpec(problem=make_quadratic(6), optimizer="amsgrad",
+                opt_params={}, schedule=Schedule("inv_sqrt", 0.01),
+                steps=70, seed=2),
+    ):
+        assert_fold_matches_dense(spec, N_SEEDS, monkeypatch, ahead=True)

@@ -12,7 +12,8 @@ Measures the checkout ``DIR`` (default: the one holding this script):
   that ``reference.json`` covers);
 - the wall time and the test count of the whole tier-1 suite;
 - the wall time that acceptance criteria 02, 04 and 08 report, each run
-  alone with ``pytest -k``;
+  alone with ``pytest -k``, and for criterion 02 the µs per iteration of
+  its 10^4-iteration step loop;
 - ``padambench run`` at d = 1e5, 300 steps, once per optimizer;
 - the ``CLI_RUNS`` commands: ``compare`` on the MLP, ``sweep-p`` on the
   quadratic, a lone ``run`` at d = 10, and ``verify --suite all`` at
@@ -49,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 15)
 CRITERIA = {"02": "test_c02", "04": "test_c04", "08": "test_c08"}
+LOOP_ITERATIONS = {"02": 10_000}  # a criterion's step loop, where it has one
 OPTIMIZERS = ("padam", "adam", "amsgrad", "adamw", "sgdm", "adagrad")
 # name -> padambench arguments of a child timed on its own
 CLI_RUNS = {
@@ -96,8 +98,8 @@ def _perfbench(checkout: Path, workload: str, seed: int, trace: int,
 
 
 def _criterion_seconds(checkout: Path, tag: str, test: str) -> dict:
-    """The ``elapsed`` a criterion's report line prints, its status, and
-    the child's resources."""
+    """The ``elapsed`` a criterion's report line prints, its status, the
+    µs per iteration of its step loop, and the child's resources."""
     stdout, child = _child(
         [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
          "tests/test_acceptance.py", "-k", test], checkout)
@@ -105,8 +107,11 @@ def _criterion_seconds(checkout: Path, tag: str, test: str) -> dict:
                       stdout)
     if match is None:
         return {"status": "ERROR", "elapsed_s": None, "child": child}
-    return {"status": match.group(1), "elapsed_s": float(match.group(2)),
-            "child": child}
+    out = {"status": match.group(1), "elapsed_s": float(match.group(2)),
+           "child": child}
+    if tag in LOOP_ITERATIONS:
+        out["us_per_iter"] = 1e6 * out["elapsed_s"] / LOOP_ITERATIONS[tag]
+    return out
 
 
 def _tier1(checkout: Path) -> dict:

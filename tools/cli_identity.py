@@ -45,6 +45,18 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
     # one wide replica: the (1, d) block path on a large draw
     "run-wide": (["run", "--problem", "quadratic", "--dim", "100000",
                   "--steps", "40"], {}),
+    # draws of at least harness._PREFETCH_BYTES are made one step ahead on
+    # a worker thread: a 12-row block in six groups, mask draws with zero
+    # denominators, and two rows that stop after step 1 with a draw in
+    # flight (exit 2)
+    "compare-wide": (["compare", "--problem", "quadratic", "--dim", "40000",
+                      "--steps", "30", "--seeds", "2"], {}),
+    "run-wide-sparse-eps0": (["run", "--problem", "sparse-growth", "--dim",
+                              "100000", "--sparsity", "0.1", "--epsilon",
+                              "0", "--p", "0", "--steps", "40"], {}),
+    "run-wide-stop-at-1": (["run", "--problem", "quadratic", "--dim",
+                            "100000", "--optimizer", "sgdm", "--lr", "1e200",
+                            "--steps", "40", "--seeds", "2"], {}),
     "run-sparse-seeds17": (["run", "--problem", "sparse-growth", "--rho",
                             "0.5", "--steps", "60", "--seeds", "17"], {}),
     # p = 0 with eps = 0 on coordinates whose v_hat is still exactly 0
