@@ -35,7 +35,6 @@ __all__ = [
     "Schedule",
     "Trace",
     "TraceFormatError",
-    "iter_runs",
     "mean_channel",
     "read_trace_csv",
     "repeat_runs",
@@ -208,8 +207,7 @@ def _blocks(specs, n_seeds: int, folded: bool = False) -> list[list]:
     cut into the lists that advance together: as many as fit
     ``_BLOCK_BYTES``, at least 16. ``specs`` is one ``RunSpec`` or a
     sequence of them sharing one problem object, ``steps`` and
-    ``record_dense``. A fold (``folded``) adds its window, carry rows and
-    back-half maxima."""
+    ``record_dense``. A fold (``folded``) adds its window and carry rows."""
     specs = [specs] if isinstance(specs, RunSpec) else list(specs)
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
@@ -225,20 +223,10 @@ def _blocks(specs, n_seeds: int, folded: bool = False) -> list[list]:
     if spec.record_dense:
         floats += 4 * (steps + 1) * d
     elif folded:  # the fold's temporaries fit _WINDOW_FLOATS, whatever S
-        floats += steps // 2 + 4 * (_WINDOW + 1) * d
+        floats += 4 * (_WINDOW + 1) * d
     per = max(16, _BLOCK_BYTES // (8 * floats))
     rows = [(s, s.seed + k) for s in specs for k in range(n_seeds)]
     return [rows[first:first + per] for first in range(0, len(rows), per)]
-
-
-def iter_runs(specs, n_seeds: int):
-    """Yield the traces of seeds ``spec.seed + k`` for ``k < n_seeds``, in
-    order, for one spec or for each of a sequence of specs in turn (see
-    ``_blocks``). Replicas advance in blocks, each run only when the
-    consumer reaches it; a block's traces share its arrays, which are
-    freed once its last trace is dropped."""
-    return (trace for rows in _blocks(specs, n_seeds)
-            for trace in _run_block(rows))
 
 
 def repeat_runs(specs, n_seeds: int) -> list[Trace]:
@@ -246,8 +234,11 @@ def repeat_runs(specs, n_seeds: int) -> list[Trace]:
     one spec or, spec-major, of each spec of a sequence that shares one
     problem object, ``steps`` and ``record_dense``.
 
-    Each trace is bitwise the one ``run`` gives for its spec and seed."""
-    return list(iter_runs(specs, n_seeds))
+    Each trace is bitwise the one ``run`` gives for its spec and seed.
+    Replicas advance in blocks (see ``_blocks``); a block's traces share
+    its arrays."""
+    return [trace for rows in _blocks(specs, n_seeds)
+            for trace in _run_block(rows)]
 
 
 def _draws(sample_xi, rngs, steps: int):
@@ -270,17 +261,6 @@ def _draws(sample_xi, rngs, steps: int):
             yield xi
             xi = ahead.result()
         yield xi
-
-
-def _raises(stepper, state: OptState, x, g, lr: float, j: int) -> bool:
-    """Whether the step raises ``NumericError`` on block row ``j`` alone."""
-    row = OptState(m=state.m[j], v=state.v[j], v_hat=state.v_hat[j],
-                   t=state.t)
-    try:
-        stepper(row, x[j], g[j], lr)
-    except NumericError:
-        return True
-    return False
 
 
 # overflow on a blown-up iterate, in the oracles or in the step rule, is the
@@ -404,15 +384,11 @@ def _run_block(rows: list[tuple[RunSpec, int]], fold=None) -> list[Trace]:
                 lr_t = schedule_lr(schedule, t)
                 try:
                     state, out = stepper(states[q], x[rs], g[rs], lr_t)
-                except NumericError:
-                    # rare: stop the rows that raise on their own, step
-                    # the rest
-                    stop = [j for j in range(rs.start, rs.stop) if live[j]
-                            and _raises(stepper, states[q], x[rs], g[rs], lr_t,
-                                        j - rs.start)]
-                    if not stop:
+                except NumericError as exc:
+                    # rare: stop the rows the step names, step the rest
+                    if not exc.rows:
                         raise
-                    halt(stop, t - 1)
+                    halt([rs.start + r for r in exc.rows], t - 1)
                     x, g = live_rows(x), live_rows(g)
                     state, out = stepper(states[q], x[rs], g[rs], lr_t)
                 states[q] = state

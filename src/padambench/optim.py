@@ -51,7 +51,12 @@ class DimensionError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """Raised on nonfinite inputs or an unresolvable zero denominator."""
+    """Raised on nonfinite inputs or an unresolvable zero denominator;
+    ``rows`` lists the ``(S, d)`` block rows at fault, where known."""
+
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,8 @@ def _guarded_update(lr: float, m: np.ndarray, denom: np.ndarray,
                     strict: bool):
     """``lr * m / denom``, zero where ``denom`` is zero, and ``_lr_range``'s
     extremes, whose row minima are the zero test; with ``strict``, zero
-    meeting nonzero ``m`` raises ``NumericError`` instead. Under
+    meeting nonzero ``m`` raises ``NumericError``, naming a block's rows
+    at fault, instead. Under
     ``epsilon = 0`` that happens on a coordinate whose every gradient so
     far is below roughly 1e-161 in magnitude (at ``b2 = 0.999``), not all
     zero: ``(1-b2)*g*g`` underflows to zero while ``(1-b1)*g`` does not.
@@ -169,9 +175,9 @@ def _guarded_update(lr: float, m: np.ndarray, denom: np.ndarray,
         if bad.size:
             *row, col = bad[0]  # a block names its row too
             at = f"row {row[0]}, " if row else ""
-            raise NumericError(
-                f"zero denominator with nonzero momentum at {at}coordinate {col}"
-            )
+            raise NumericError(f"zero denominator with nonzero momentum at "
+                               f"{at}coordinate {col}",
+                               np.unique(bad[:, 0]).tolist() if row else ())
     return np.where(dead, 0.0, lr * m / np.where(dead, 1.0, denom)), lo, hi
 
 

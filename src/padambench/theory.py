@@ -10,9 +10,10 @@ randomly selected iterate is at most
 where ``s`` is the cumulative gradient-growth exponent, ``q`` is a free
 interpolation knob in ``[max(0, 4p-1), 1]``, and the constants require the
 momentum-to-adaptivity ratio ``gamma = beta1 / beta2**(2p)`` to be below
-one. ``check_*`` functions test the per-step identities and inequalities
-behind the proof pathwise on recorded traces; ``verify_bound`` runs the
-whole pipeline and compares the empirical left side against the bound.
+one. ``run_trajectory_checks`` tests the per-step identities and
+inequalities behind the proof pathwise on a recorded trace;
+``verify_bound`` runs the whole pipeline and compares the empirical left
+side against the bound.
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ __all__ = [
     "bound_constants",
     "bound_q0",
     "bound_value",
-    "check_moment_bounds",
     "check_smoothness_gap",
-    "check_update_energy",
-    "check_z_identity",
-    "check_z_step_bound",
     "estimate_growth_s",
     "optimal_alpha",
     "report_to_dict",
@@ -198,33 +195,18 @@ class GrowthEstimate:
     degenerate: bool
 
 
-class _GrowthFold:
-    """``estimate_growth_s`` over ``rows`` gradient streams of ``steps``
-    steps, fed ``(S, n, d)`` windows in order. Keeps the running
-    ``cumsum(g*g)`` as its last row and the largest ``|g|``; ``cumsum``
-    adds step by step, so any split into windows gives the same bits."""
-
-    def __init__(self, rows: int, steps: int):
-        self.steps, self.seen = steps, 0
-        self.cum = None  # sum of g*g per coordinate through the last window
-        self.g_max = np.full(rows, -math.inf)
-
-    def add(self, g: np.ndarray) -> None:
-        sq = g * g
-        if self.cum is not None:
-            sq[:, 0] += self.cum
-        self.cum = np.cumsum(sq, axis=1)[:, -1].copy()
-        self.g_max = np.maximum(self.g_max, np.abs(g).max(axis=(1, 2)))
-        self.seen += g.shape[1]
-
-    def estimate(self, j: int, g_inf: float | None) -> GrowthEstimate:
-        final_max = float(np.sqrt(self.cum[j]).max())
-        if final_max == 0.0:
-            return GrowthEstimate(s=0.0, degenerate=True)
-        if g_inf is None:
-            g_inf = float(self.g_max[j])
-        raw = math.log(final_max / g_inf) / math.log(self.steps)
-        return GrowthEstimate(s=min(0.5, max(0.0, raw)), degenerate=False)
+def _growth_estimate(sq_sum: np.ndarray, g_max: float, steps: int,
+                     g_inf: float | None) -> GrowthEstimate:
+    """``estimate_growth_s`` of a stream of ``steps`` gradients from its
+    per-coordinate sum of ``g*g`` and its largest ``|g|``, which stands in
+    for ``g_inf`` when that is ``None``."""
+    final_max = float(np.sqrt(sq_sum).max())
+    if final_max == 0.0:
+        return GrowthEstimate(s=0.0, degenerate=True)
+    if g_inf is None:
+        g_inf = float(g_max)
+    raw = math.log(final_max / g_inf) / math.log(steps)
+    return GrowthEstimate(s=min(0.5, max(0.0, raw)), degenerate=False)
 
 
 def estimate_growth_s(
@@ -241,9 +223,9 @@ def estimate_growth_s(
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] < 2:
         raise ValueError("need a (T, d) gradient stream with T >= 2")
-    fold = _GrowthFold(1, grads.shape[0])
-    fold.add(grads[None])
-    return fold.estimate(0, g_inf)
+    # cumsum adds step by step, as the fold does: the same bits
+    return _growth_estimate(np.cumsum(grads * grads, axis=0)[-1],
+                            np.abs(grads).max(), len(grads), g_inf)
 
 
 # --------------------------------------------------------------------------
@@ -295,24 +277,24 @@ def _with_prev(prev, a: np.ndarray) -> np.ndarray:
 
 
 class _Fold:
-    """The five trajectory checks, ``estimate_growth_s`` and the first
-    ``v_hat`` of ``rows`` padam-family runs of ``steps`` steps, folded a
-    window at a time as ``harness._run_block`` hands the windows over.
-    ``add`` takes the window's iterates and the one after, ``(S, n + 1,
-    d)``, then its ``g``, ``m`` and ``vhat``, ``(S, n, d)``, and lrs,
+    """The five trajectory checks, the sums behind ``estimate_growth_s``
+    and the first ``v_hat`` of ``rows`` padam-family runs on ``problem``,
+    folded a window at a time as ``harness._run_block`` hands the windows
+    over. ``add`` takes the window's iterates and the one after, ``(S, n +
+    1, d)``, then its ``g``, ``m`` and ``vhat``, ``(S, n, d)``, and lrs,
     ``(S, n)``. The fold carries one previous row, each check's running
-    worst and the update energies, summed step by step; every split into
-    windows gives the same bits. The ``check_*`` functions run it over a
-    dense trace as one window. With ``cfg`` ``None`` only the moment and
-    growth parts run; the smoothness part needs a ``problem`` with an
-    ``L`` certificate."""
+    worst, the largest ``|g|``, and the update energies and ``g*g`` per
+    coordinate, summed step by step; every split into windows gives the
+    same bits. ``run_trajectory_checks`` and ``check_smoothness_gap`` run
+    it over a dense trace as one window."""
 
-    def __init__(self, cfg: PadamConfig | None, rows: int, steps: int,
-                 problem: StochasticProblem | None = None):
+    def __init__(self, cfg: PadamConfig, rows: int,
+                 problem: StochasticProblem):
         self.cfg, self.problem = cfg, problem
-        self.growth = _GrowthFold(rows, steps)
         self.prev = None  # the last step's x, m, update and effective lr
         self.vhat1 = None
+        self.sq_sum = np.zeros((rows, problem.dim))
+        self.g_max = np.full(rows, -math.inf)
         self.resid = np.full(rows, -math.inf)
         self.slack = np.full(rows, math.inf)
         self.monotone = np.ones(rows, dtype=bool)
@@ -322,15 +304,16 @@ class _Fold:
         self.energy = np.zeros((2, rows))  # momentum and gradient variants
 
     def add(self, x, g, m, vhat, lr) -> None:
-        first, n = self.growth.seen == 0, g.shape[1]
+        first, n = self.vhat1 is None, g.shape[1]
         if first:
             self.vhat1 = vhat[:, 0].copy()
         self.m_max = np.maximum(self.m_max, np.abs(m).max(axis=(1, 2)))
         self.v_max = np.maximum(self.v_max, vhat.max(axis=(1, 2)))
-        self.growth.add(g)
+        self.g_max = np.maximum(self.g_max, np.abs(g).max(axis=(1, 2)))
+        sq = g * g
+        sq[:, 0] += self.sq_sum
+        self.sq_sum = np.cumsum(sq, axis=1)[:, -1].copy()
         cfg = self.cfg
-        if cfg is None:
-            return
         prev = self.prev or {}
         c = cfg.beta1 / (1.0 - cfg.beta1)
         alpha = lr[..., None]
@@ -369,7 +352,7 @@ class _Fold:
         self.slack = np.minimum(self.slack,
                                 ((rhs - lhs) / (1.0 + rhs)).min(axis=-1))
 
-        L = None if self.problem is None else self.problem.known_L
+        L = self.problem.known_L
         if L is not None:  # smoothness_gap, one oracle call per history
             grad, rows, d = self.problem.exact_grad, len(x), x.shape[-1]
             gap = _row_norms(grad(z[:, :-1].reshape(-1, d))
@@ -414,7 +397,7 @@ class _Fold:
 
     def smoothness_gap(self, j: int, trace: Trace) -> CheckResult:
         name = "smoothness_gap"
-        if self.problem is None or self.problem.known_L is None:
+        if self.problem.known_L is None:
             return _skip(name, "problem has no smoothness certificate")
         if trace.diverged:
             return _skip(name, "trace diverged")
@@ -423,9 +406,9 @@ class _Fold:
         return CheckResult(name, status, worst,
                            f"worst normalized slack {worst:.3e}")
 
-    def moment_bounds(self, j: int, trace: Trace,
-                      g_inf: float | None) -> CheckResult:
+    def moment_bounds(self, j: int, trace: Trace) -> CheckResult:
         name = "moment_bounds"
+        g_inf = self.problem.known_G_inf
         if g_inf is None:
             return _skip(name, "problem has no gradient-bound certificate")
         if trace.diverged:
@@ -440,9 +423,9 @@ class _Fold:
         return CheckResult(name, status, 1.0 - worst,
                            f"m ratio {m_ratio:.3e}, vhat ratio {v_ratio:.3e}")
 
-    def update_energy(self, j: int, trace: Trace,
-                      g_inf: float | None) -> CheckResult:
+    def update_energy(self, j: int, trace: Trace) -> CheckResult:
         name = "update_energy"
+        g_inf = self.problem.known_G_inf
         if g_inf is None:
             return _skip(name, "problem has no gradient-bound certificate")
         if trace.diverged:
@@ -455,7 +438,7 @@ class _Fold:
         if gamma >= 1.0:
             return _skip(name, "needs beta1/beta2^(2p) below 1")
         q_val = _resolve_q(cfg.p, None)
-        col_norms = np.sqrt(self.growth.cum[j])
+        col_norms = np.sqrt(self.sq_sum[j])
         steps, dim = len(alphas), len(col_norms)
         alpha = float(alphas[0])
         col_sum = float(col_norms.sum())
@@ -479,31 +462,30 @@ class _Fold:
 
     def results(self, j: int, trace: Trace) -> dict[str, CheckResult]:
         """Row ``j``'s five verdicts; ``trace`` is its trace."""
-        g_inf = None if self.problem is None else self.problem.known_G_inf
         return {r.name: r for r in (
             self.z_identity(j, trace),
             self.z_step_bound(j, trace),
             self.smoothness_gap(j, trace),
-            self.moment_bounds(j, trace, g_inf),
-            self.update_energy(j, trace, g_inf),
+            self.moment_bounds(j, trace),
+            self.update_energy(j, trace),
         )}
 
 
 def _folded_runs(spec: RunSpec, n_seeds: int, cfg: PadamConfig):
-    """``(trace, fold, j)`` for the seeds ``iter_runs`` gives, in order:
+    """``(trace, fold, j)`` for the seeds ``repeat_runs`` gives, in order:
     each block runs with a ``_Fold`` and records no dense histories; row
     ``j`` of ``fold`` holds the trace's checks."""
     for rows in _blocks(spec, n_seeds, folded=True):
-        fold = _Fold(cfg, len(rows), spec.steps, spec.problem)
+        fold = _Fold(cfg, len(rows), spec.problem)
         for j, trace in enumerate(_run_block(rows, fold)):
             yield trace, fold, j
 
 
-def _one_window(trace: Trace, cfg: PadamConfig | None,
-                problem: StochasticProblem | None = None) -> _Fold:
+def _one_window(trace: Trace, cfg: PadamConfig,
+                problem: StochasticProblem) -> _Fold:
     """The fold over a dense trace, as one window. A diverged trace needs
     no numbers: every check reads it as inapplicable."""
-    fold = _Fold(cfg, 1, len(trace.t), problem)
+    fold = _Fold(cfg, 1, problem)
     if not trace.diverged:
         if trace.dense is None or "x_final" not in trace.dense:
             raise ValueError(
@@ -512,21 +494,6 @@ def _one_window(trace: Trace, cfg: PadamConfig | None,
         fold.add(np.vstack([d["x"], d["x_final"]])[None], d["g"][None],
                  d["m"][None], d["vhat"][None], trace.lr[None])
     return fold
-
-
-def check_z_identity(trace: Trace, cfg: PadamConfig) -> CheckResult:
-    """Exact per-step identity for the increments of the momentum-corrected
-    sequence. Residuals beyond float roundoff mean the trace and the step
-    rule disagree."""
-    return _one_window(trace, cfg).z_identity(0, trace)
-
-
-def check_z_step_bound(trace: Trace, cfg: PadamConfig) -> CheckResult:
-    """Increment bound: ``||z_{t+1} - z_t||`` is at most the gradient part
-    plus ``c`` times the previous iterate displacement. Needs the
-    effective lr to be nonincreasing, which monotone ``v_hat`` plus a
-    nonincreasing schedule guarantees; a rise fails the check."""
-    return _one_window(trace, cfg).z_step_bound(0, trace)
 
 
 def check_smoothness_gap(
@@ -539,29 +506,15 @@ def check_smoothness_gap(
     return _one_window(trace, cfg, problem).smoothness_gap(0, trace)
 
 
-def check_moment_bounds(trace: Trace, g_inf: float | None) -> CheckResult:
-    """Accumulator bounds ``||m||_inf <= G`` and ``||v_hat||_inf <= G^2``,
-    valid while the iterates stay inside the certified box."""
-    return _one_window(trace, None).moment_bounds(0, trace, g_inf)
-
-
-def check_update_energy(
-    trace: Trace,
-    cfg: PadamConfig,
-    g_inf: float | None,
-) -> CheckResult:
-    """Cumulative scaled update energy against its closed-form budget, in
-    both the momentum and the raw-gradient variants, each summed step by
-    step. Stated for constant step size."""
-    return _one_window(trace, cfg).update_energy(0, trace, g_inf)
-
-
 def run_trajectory_checks(
     trace: Trace,
     problem: StochasticProblem,
     cfg: PadamConfig | None = None,
 ) -> dict[str, CheckResult]:
-    """Run every per-step check against one densely recorded trace."""
+    """Run the five per-step checks against one densely recorded trace:
+    the exact increment of the momentum-corrected sequence and its bound,
+    the smoothness gap, the moment bounds inside the certified box, and
+    the update energy budget at constant step size."""
     opt = trace.meta.get("optimizer")
     entry = REGISTRY.get(opt)
     if entry is None or entry.padam_config is None:
@@ -676,7 +629,8 @@ def verify_bound(
             )
         else:
             vhat1_parts.append(float(np.sum(raw1)))
-        fitted = max(fitted, fold.growth.estimate(j, problem.known_G_inf).s)
+        fitted = max(fitted, _growth_estimate(
+            fold.sq_sum[j], fold.g_max[j], steps, problem.known_G_inf).s)
         _keep_worst(agg, fold.results(j, trace))
         out_rng = np.random.default_rng(seed + 777_000 + k)
         t_out = select_output_indices(trace, None, out_rng, 1)[0]

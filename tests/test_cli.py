@@ -276,6 +276,19 @@ def test_verify_bound_rejects_void_hypotheses(tmp_path, capsys):
     assert rc == 3
 
 
+def test_verify_all_suite(tmp_path, capsys):
+    rc = main(["verify", "--suite", "all", "--steps", "100", "--seeds", "2",
+               "--outdir", str(tmp_path)])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["suite"] == "all"
+    suites = report["suites"]
+    assert set(suites) == {"reductions", "gradients", "trajectory", "bound"}
+    assert report["passed"] is all(s["passed"] for s in suites.values())
+    assert rc == (0 if report["passed"] else 3)
+    for name, sub in suites.items():
+        assert sub["wall_ms"] > 0.0, name
+
+
 def test_verify_unknown_suite_is_config_error(tmp_path):
     assert main(["verify", "--suite", "bogus", "--outdir", str(tmp_path)]) == 1
 
@@ -496,3 +509,36 @@ def test_repeated_list_entry_names_its_key(argv, body, key, tmp_path,
     assert main(argv + ["--steps", "5", "--outdir", str(outdir)]) == 1
     assert not outdir.exists()
     assert f"{key!r} repeats an entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, message", [
+    (None, "cannot read config file"),
+    ("{not json", "config file is not valid JSON"),
+    ("[1, 2]", "config file must hold a JSON object"),
+])
+def test_unusable_config_file_is_config_error(body, message, tmp_path,
+                                              capsys):
+    cfg_path = tmp_path / "c.json"
+    if body is not None:
+        cfg_path.write_text(body)
+    outdir = tmp_path / "out"
+    assert main(["run", "--problem", "quadratic", "--config", str(cfg_path),
+                 "--outdir", str(outdir)]) == 1
+    assert not outdir.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run"], "a problem must be chosen (--problem)"),
+    (["sweep-p", "--problem", "quadratic", "--p-list", ""], "empty p list"),
+    (["compare", "--problem", "quadratic", "--optimizers", ""],
+     "empty optimizer list"),
+    (["compare", "--problem", "quadratic", "--optimizers", "padam,lion"],
+     "unknown optimizer 'lion'"),
+])
+def test_missing_or_empty_choice_is_config_error(argv, message, tmp_path,
+                                                 capsys):
+    outdir = tmp_path / "out"
+    assert main(argv + ["--steps", "5", "--outdir", str(outdir)]) == 1
+    assert not outdir.exists()
+    assert message in capsys.readouterr().err

@@ -139,6 +139,21 @@ def test_block_zero_denominator_names_row_and_coordinate():
     assert str(rows.value).endswith("at row 2, coordinate 1")
 
 
+def test_numeric_error_rows_are_the_block_rows_at_fault():
+    # the harness stops exactly these rows; a lone step has none to name
+    cfg = PadamConfig(epsilon=0.0)
+    g = np.ones((3, 4))
+    g[0, 3] = g[2, 1] = g[2, 2] = 1e-170
+    block = OptState(m=np.zeros((3, 4)), v=np.zeros((3, 4)),
+                     v_hat=np.zeros((3, 4)))
+    with pytest.raises(NumericError) as rows:
+        padam_step(block, np.ones((3, 4)), g, 0.1, cfg)
+    assert rows.value.rows == [0, 2]
+    with pytest.raises(NumericError) as lone:
+        padam_step(init_state(4), np.ones(4), g[2], 0.1, cfg)
+    assert lone.value.rows == ()
+
+
 BLOCK_RULES = {
     "padam": lambda s, x, g, lr: padam_step(s, x, g, lr,
                                             PadamConfig(p=0.3, epsilon=0.0)),

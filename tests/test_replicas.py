@@ -37,6 +37,7 @@ from padambench.problems import (
 )
 from padambench.theory import (
     _folded_runs,
+    _growth_estimate,
     estimate_growth_s,
     run_trajectory_checks,
 )
@@ -376,7 +377,8 @@ def assert_fold_matches_dense(spec, n_seeds, monkeypatch, ahead=False):
                     np.float64(res.margin).tobytes(), (width, name)
             if want.diverged:
                 continue
-            est = fold.growth.estimate(j, problem.known_G_inf)
+            est = _growth_estimate(fold.sq_sum[j], fold.g_max[j], steps,
+                                   problem.known_G_inf)
             ref = estimate_growth_s(want.dense["g"], problem.known_G_inf)
             assert np.float64(est.s).tobytes() == \
                 np.float64(ref.s).tobytes(), width

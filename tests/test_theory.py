@@ -32,10 +32,8 @@ from padambench.theory import (
     bound_constants,
     bound_q0,
     bound_value,
-    check_moment_bounds,
     check_smoothness_gap,
     _one_window,
-    check_z_identity,
     estimate_growth_s,
     optimal_alpha,
     report_to_dict,
@@ -203,13 +201,14 @@ def test_trajectory_checks_pass_on_honest_trace():
 def test_z_identity_detects_tampered_iterates():
     prob, cfg, trace = dense_padam_trace(steps=40)
     trace.dense["x"][20] += 1e-3
-    res = check_z_identity(trace, cfg)
+    res = run_trajectory_checks(trace, prob, cfg)["z_identity"]
     assert res.status == "fail"
 
 
 def test_moment_bounds_fail_with_dishonest_sup():
     prob, cfg, trace = dense_padam_trace(steps=40)
-    res = check_moment_bounds(trace, g_inf=1e-6)
+    dishonest = dataclasses.replace(prob, known_G_inf=1e-6)
+    res = run_trajectory_checks(trace, dishonest, cfg)["moment_bounds"]
     assert res.status == "fail"
 
 
@@ -217,7 +216,7 @@ def test_moment_bounds_inapplicable_outside_box():
     start = np.array([11.0, 0.0, 0.0])  # outside the certified region
     prob, cfg, trace = dense_padam_trace(steps=10, start=start)
     assert trace.box_exit == 1
-    res = check_moment_bounds(trace, g_inf=prob.known_G_inf)
+    res = run_trajectory_checks(trace, prob, cfg)["moment_bounds"]
     assert res.status == "inapplicable"
 
 
@@ -340,6 +339,45 @@ def test_verify_bound_needs_certified_problem():
         verify_bound(prob, PadamConfig(), alpha=0.01, steps=50, n_seeds=2)
 
 
+def _inf_beyond(threshold):
+    """The d=4 quadratic whose stochastic gradient is ``inf`` wherever the
+    draw's first coordinate exceeds ``threshold``: a replica stops at the
+    first such draw, and every replica does at a threshold below -3."""
+    prob = make_quadratic(4, 10.0, 0.1)
+
+    def stoch_grad(x, xi):
+        return np.where(xi[..., :1] > threshold, np.inf,
+                        prob.stoch_grad(x, xi))
+
+    return dataclasses.replace(prob, stoch_grad=stoch_grad)
+
+
+def test_verify_bound_with_a_diverging_replica():
+    report = verify_bound(_inf_beyond(2.5), PadamConfig(), alpha=0.01,
+                          steps=50, n_seeds=6)
+    assert not report.applicable
+    assert [n for n in report.notes if "diverged" in n] == \
+        ["replica 0 diverged"]
+    # the other replicas still feed the checks, and they pass
+    assert {r.status for r in report.checks.values()} == {"pass"}
+
+
+def test_verify_bound_with_every_replica_diverging():
+    with pytest.raises(HypothesisError, match="every replica diverged"):
+        verify_bound(_inf_beyond(-10.0), PadamConfig(), alpha=0.01,
+                     steps=50, n_seeds=6)
+
+
+def test_trajectory_checks_on_a_diverged_trace():
+    prob, cfg, trace = dense_padam_trace(steps=200, seed=2,
+                                         prob=_inf_beyond(2.5))
+    assert trace.diverged
+    results = run_trajectory_checks(trace, prob, cfg)
+    assert len(results) == 5
+    for res in results.values():
+        assert (res.status, res.detail) == ("inapplicable", "trace diverged")
+
+
 def test_verify_bound_deterministic():
     prob = make_quadratic(3, condition_number=5.0, noise=0.1)
     cfg = PadamConfig(beta1=0.9, beta2=0.999, p=0.125, epsilon=1e-8)
@@ -392,14 +430,13 @@ def test_verify_bound_reads_what_the_run_recorded(case, p, monkeypatch):
 
 
 def test_verify_bound_memory_scales_with_the_window():
-    # the traces' columns, step numbers and the back-half maxima of the
-    # growth fit grow with T; what else verify_bound holds at once must
-    # fit in a few window-sized arrays, where dense histories took
-    # 4 * S * T * d floats
+    # the traces' columns and step numbers grow with T; what else
+    # verify_bound holds at once must fit in a few window-sized arrays,
+    # where dense histories took 4 * S * T * d floats
     seeds, steps, dim = 16, 10_000, 10
     prob = make_quadratic(dim, 10.0, 0.1)
     verify_bound(prob, PadamConfig(), alpha=0.01, steps=20, n_seeds=2)  # warm
-    per_step = 8 * (len(harness._COLUMNS) + 1) + 4  # bytes per replica-step
+    per_step = 8 * (len(harness._COLUMNS) + 1)  # bytes per replica-step
     window = 8 * seeds * (harness._WINDOW + 1) * dim
     tracemalloc.start()
     try:
@@ -415,7 +452,7 @@ def test_update_energy_step_sums_match_the_pairwise_sum():
     # the fold sums the update energy step by step; np.sum over the whole
     # (T, d) history, as the dense check once did, agrees to 1e-13
     prob, cfg, trace = dense_padam_trace(steps=400)
-    fold = _one_window(trace, cfg)
+    fold = _one_window(trace, cfg, prob)
     raw = trace.dense["vhat"] + cfg.epsilon
     scaled = raw ** -cfg.p
     for got, a in zip(fold.energy[:, 0], (trace.dense["m"], trace.dense["g"])):

@@ -111,6 +111,9 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
     # a window of 64 steps does not divide 700, and 17 seeds pass 16
     "verify-all-700x17": (["verify", "--suite", "all", "--steps", "700",
                            "--seeds", "17"], {}),
+    # the shape perfbench's verify-all workload runs
+    "verify-all-gated": (["verify", "--suite", "all", "--steps", "1000",
+                          "--seeds", "6", "--seed", "0", "--dim", "10"], {}),
     "config-run": (["run", "--config", "cfg.json"],
                    {"cfg.json": {"problem": "quadratic",
                                  "optimizer": "amsgrad", "dim": 4,
