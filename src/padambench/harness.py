@@ -246,10 +246,13 @@ def _draws(sample_xi, rngs, steps: int):
     draw is an ndarray of at least ``_PREFETCH_BYTES``, draw ``t + 1`` runs
     on a worker thread while the caller uses draw ``t``, one call at a
     time and in step order, so each is bitwise the inline draw. Closing
-    waits for the draw in flight, which goes unread, and stops the worker."""
-    xi = sample_xi(rngs, 1)
-    if not (isinstance(xi, np.ndarray) and xi.nbytes >= _PREFETCH_BYTES):
-        yield xi
+    waits for the draw in flight, which goes unread, and stops the worker.
+    A draw handed out is the caller's alone: it goes when the caller lets
+    go of it, not when the next is asked for."""
+    held = [sample_xi(rngs, 1)]  # popped as handed out
+    if not (isinstance(held[0], np.ndarray)
+            and held[0].nbytes >= _PREFETCH_BYTES):
+        yield held.pop()
         for t in range(2, steps + 1):
             yield sample_xi(rngs, t)
         return
@@ -258,9 +261,9 @@ def _draws(sample_xi, rngs, steps: int):
     with ThreadPoolExecutor(1) as worker:
         for t in range(2, steps + 1):
             ahead = worker.submit(sample_xi, rngs, t)
-            yield xi
-            xi = ahead.result()
-        yield xi
+            yield held.pop()
+            held.append(ahead.result())
+        yield held.pop()
 
 
 # overflow on a blown-up iterate, in the oracles or in the step rule, is the
@@ -357,13 +360,17 @@ def _run_block(rows: list[tuple[RunSpec, int]], fold=None) -> list[Trace]:
     draws = _draws(prob.sample_xi, rngs, steps)
     started = time.perf_counter()
     try:
-        for t, xi in zip(range(1, steps + 1), draws):
-            i = t - 1
-            # gradient first: an oracle may reuse that pass for the loss
+        for t in range(1, steps + 1):
+            i, xi = t - 1, next(draws)
+            # gradient first: an oracle may reuse that pass for the loss.
+            # Each (S, d) array is let go once used, g at the loop's end:
+            # at d = 1e5 each is 0.76 MiB
             g_exact = exact_grad(x)
-            f = loss_col[:, i] = loss(x)
             gns = gns_col[:, i] = _rowdot(g_exact, g_exact)
+            del g_exact
+            f = loss_col[:, i] = loss(x)
             g = stoch_grad(x, xi)
+            del xi
             ok = math.isfinite(f.sum() + gns.sum() + g.sum())  # none stops
             # rows stopping at the loss check, which precedes the box check
             at_loss = live & (not ok and ~(np.isfinite(f) & np.isfinite(gns)))
@@ -418,6 +425,7 @@ def _run_block(rows: list[tuple[RunSpec, int]], fold=None) -> list[Trace]:
                     break
                 new_x[~live] = 0.0
             x = new_x
+            del g
             if rec is not None:
                 rec["x"][:, k + 1] = x
                 if fold is not None and (k == width - 1 or t == steps):

@@ -1,8 +1,17 @@
 """Core optimizer step rules.
 
-Every optimizer is a pure function from ``(state, x, gradient, lr, ...)`` to
-``(new_state, StepOutcome)``. States are never mutated; callers thread them
-through their own loop. All arithmetic is float64.
+Every public step (``padam_step`` and the others) is a pure function from
+``(state, x, gradient, lr, ...)`` to ``(new_state, StepOutcome)``: it
+mutates none of its inputs, and callers thread states through their own
+loop. All arithmetic is float64. The arithmetic of each rule lives in one
+kernel that writes the new moments into the arrays it is handed; a public
+step hands it fresh ones. The stepper that ``REGISTRY[name].bind`` returns,
+which the harness runs, hands it the given state's own arrays instead: it
+updates that state in place and allocates only the new iterate and one
+temporary, bitwise the public step otherwise. A step that raises
+``NumericError`` leaves the state it was given untouched, in place or not:
+only padam and amsgrad raise, and only at ``epsilon = 0``, where their bound
+steppers write fresh arrays.
 
 ``x``, the gradient and the state may also be ``(S, d)`` blocks of ``S``
 independent iterates. Every rule is elementwise, so row ``k`` of the result
@@ -25,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -157,18 +165,18 @@ def _lr_range(lr: float, denom: np.ndarray):
 
 def _guarded_update(lr: float, m: np.ndarray, denom: np.ndarray,
                     strict: bool):
-    """``lr * m / denom``, zero where ``denom`` is zero, and ``_lr_range``'s
-    extremes, whose row minima are the zero test; with ``strict``, zero
-    meeting nonzero ``m`` raises ``NumericError``, naming a block's rows
-    at fault, instead. Under
+    """``lr * m / denom`` in a new array, zero where ``denom`` is zero, and
+    ``_lr_range``'s extremes, whose row minima are the zero test; with
+    ``strict``, zero meeting nonzero ``m`` raises ``NumericError``, naming
+    a block's rows at fault, instead. Under
     ``epsilon = 0`` that happens on a coordinate whose every gradient so
     far is below roughly 1e-161 in magnitude (at ``b2 = 0.999``), not all
-    zero: ``(1-b2)*g*g`` underflows to zero while ``(1-b1)*g`` does not.
-    At d = 1e5 the callers' temporaries decide whether glibc trims and
-    regrows its heap each step: ``base`` held, or the root taken in place."""
+    zero: ``(1-b2)*g*g`` underflows to zero while ``(1-b1)*g`` does not."""
     lo, hi, positive = _lr_range(lr, denom)
     if positive:  # else the masked division, equal where nothing is zero
-        return lr * m / denom, lo, hi
+        update = lr * m
+        update /= denom
+        return update, lo, hi
     dead = denom == 0.0
     if strict:
         bad = np.argwhere(dead & (m != 0.0))
@@ -179,6 +187,94 @@ def _guarded_update(lr: float, m: np.ndarray, denom: np.ndarray,
                                f"{at}coordinate {col}",
                                np.unique(bad[:, 0]).tolist() if row else ())
     return np.where(dead, 0.0, lr * m / np.where(dead, 1.0, denom)), lo, hi
+
+
+# The kernels below hold each rule's arithmetic. A kernel reads ``state``,
+# writes the rule's new moments into ``out``, the arrays ``(m, v, v_hat)``
+# (``state``'s own, to step in place, or new ones; ``None`` where the rule
+# keeps the old), and returns the new state and the StepOutcome. Beyond the
+# new iterate it allocates at most one temporary at a time. The public steps
+# allocate the new moments before the kernel runs: left to the kernel's
+# ufuncs, after its temporary, they made glibc trim and regrow its heap on
+# every step at d = 1e5 (277-379 minor faults a step, the state threaded
+# through a loop).
+
+
+def _moments(state, out, g, b1, b2):
+    """``m = b1*m + (1-b1)*g`` and ``v = b2*v + (1-b2)*g*g``, written into
+    ``out``, and the temporary, free for the caller's denominator."""
+    tmp = (1.0 - b1) * g
+    m = np.multiply(state.m, b1, out=out[0])
+    m += tmp
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
+    v = np.multiply(state.v, b2, out=out[1])
+    v += tmp
+    return m, v, tmp
+
+
+def _padam(state, out, x, g, lr, cfg):
+    m, v, tmp = _moments(state, out, g, cfg.beta1, cfg.beta2)
+    v_hat = np.maximum(state.v_hat, v, out=out[2])
+    np.add(v_hat, cfg.epsilon, out=tmp)
+    tmp **= cfg.p  # the power operator, which numpy maps to sqrt at 1/2
+    update, lo, hi = _guarded_update(lr, m, tmp, strict=True)
+    return (OptState(m, v, v_hat, state.t + 1),
+            StepOutcome(np.subtract(x, update, out=update), lo, hi))
+
+
+def _amsgrad(state, out, x, g, lr, beta1, beta2, epsilon):
+    # written out, not _moments: the independent p = 1/2 reference
+    tmp = (1.0 - beta1) * g
+    m = np.multiply(state.m, beta1, out=out[0])
+    m += tmp
+    np.multiply(g, 1.0 - beta2, out=tmp)
+    tmp *= g
+    v = np.multiply(state.v, beta2, out=out[1])
+    v += tmp
+    v_hat = np.maximum(state.v_hat, v, out=out[2])
+    np.add(v_hat, epsilon, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    update, lo, hi = _guarded_update(lr, m, tmp, strict=True)
+    return (OptState(m, v, v_hat, state.t + 1),
+            StepOutcome(np.subtract(x, update, out=update), lo, hi))
+
+
+def _adam(state, out, x, g, lr, beta1, beta2, epsilon):
+    m, v, tmp = _moments(state, out, g, beta1, beta2)
+    np.add(v, epsilon, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    update, lo, hi = _guarded_update(lr, m, tmp, strict=False)
+    return (OptState(m, v, state.v_hat, state.t + 1),
+            StepOutcome(np.subtract(x, update, out=update), lo, hi))
+
+
+def _adamw(state, out, x, g, lr, beta1, beta2, epsilon, weight_decay):
+    new_state, outcome = _adam(state, out, x, g, lr, beta1, beta2, epsilon)
+    new_x = outcome.new_x
+    new_x -= lr * weight_decay * x  # the pre-step iterate
+    return new_state, outcome
+
+
+def _sgdm(state, out, x, g, lr, mu):
+    b = np.multiply(state.m, mu, out=out[0])
+    b += g
+    update = lr * b
+    return (OptState(b, state.v, state.v_hat, state.t + 1),
+            StepOutcome(np.subtract(x, update, out=update), lr, lr))
+
+
+def _adagrad(state, out, x, g, lr, epsilon):
+    t = state.t + 1
+    v = np.multiply(state.v, t - 1, out=out[1])
+    tmp = g * g
+    v += tmp
+    v /= t
+    np.add(v, epsilon, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    update, lo, hi = _guarded_update(lr / math.sqrt(t), g, tmp, strict=False)
+    return (OptState(state.m, v, state.v_hat, t),
+            StepOutcome(np.subtract(x, update, out=update), lo, hi))
 
 
 def padam_step(
@@ -200,16 +296,8 @@ def padam_step(
     zero.
     """
     x, g = _prepare(state, x, g, lr)
-    b1, b2 = cfg.beta1, cfg.beta2
-    m = b1 * state.m + (1.0 - b1) * g
-    v = b2 * state.v + (1.0 - b2) * g * g
-    v_hat = np.maximum(state.v_hat, v)
-    new_state = OptState(m=m, v=v, v_hat=v_hat, t=state.t + 1)
-
-    base = v_hat + cfg.epsilon
-    denom = base**cfg.p
-    update, lo, hi = _guarded_update(lr, m, denom, strict=True)
-    return new_state, StepOutcome(x - update, lo, hi)
+    out = (np.empty(x.shape), np.empty(x.shape), np.empty(x.shape))
+    return _padam(state, out, x, g, lr, cfg)
 
 
 def amsgrad_step(
@@ -228,15 +316,8 @@ def amsgrad_step(
     reduction tests.
     """
     x, g = _prepare(state, x, g, lr)
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    v_hat = np.maximum(state.v_hat, v)
-    new_state = OptState(m=m, v=v, v_hat=v_hat, t=state.t + 1)
-
-    base = v_hat + epsilon
-    denom = np.sqrt(base)
-    update, lo, hi = _guarded_update(lr, m, denom, strict=True)
-    return new_state, StepOutcome(x - update, lo, hi)
+    out = (np.empty(x.shape), np.empty(x.shape), np.empty(x.shape))
+    return _amsgrad(state, out, x, g, lr, beta1, beta2, epsilon)
 
 
 def adam_step(
@@ -254,14 +335,8 @@ def adam_step(
     across optimizers.
     """
     x, g = _prepare(state, x, g, lr)
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    new_state = OptState(m=m, v=v, v_hat=state.v_hat, t=state.t + 1)
-
-    denom = v + epsilon
-    np.sqrt(denom, out=denom)
-    update, lo, hi = _guarded_update(lr, m, denom, strict=False)
-    return new_state, StepOutcome(x - update, lo, hi)
+    out = (np.empty(x.shape), np.empty(x.shape), None)
+    return _adam(state, out, x, g, lr, beta1, beta2, epsilon)
 
 
 def _check_weight_decay(weight_decay: float) -> None:
@@ -286,12 +361,9 @@ def adamw_step(
 ) -> tuple[OptState, StepOutcome]:
     """Adaptive step plus decoupled weight decay on the pre-step iterate."""
     _check_weight_decay(weight_decay)
-    x64 = np.asarray(x, dtype=np.float64)
-    new_state, out = adam_step(state, x, g, lr, beta1, beta2, epsilon)
-    new_x = out.new_x  # adam_step's own array
-    new_x -= lr * weight_decay * x64
-    return new_state, StepOutcome(new_x, out.effective_lr_min,
-                                  out.effective_lr_max)
+    x, g = _prepare(state, x, g, lr)
+    out = (np.empty(x.shape), np.empty(x.shape), None)
+    return _adamw(state, out, x, g, lr, beta1, beta2, epsilon, weight_decay)
 
 
 def sgd_momentum_step(
@@ -308,9 +380,7 @@ def sgd_momentum_step(
     """
     _check_mu(mu)
     x, g = _prepare(state, x, g, lr)
-    b = mu * state.m + g
-    new_state = OptState(m=b, v=state.v, v_hat=state.v_hat, t=state.t + 1)
-    return new_state, StepOutcome(x - lr * b, lr, lr)
+    return _sgdm(state, (np.empty(x.shape), None, None), x, g, lr, mu)
 
 
 def adagrad_step(
@@ -328,22 +398,34 @@ def adagrad_step(
     gradients were all zero, where the update is zero as well.
     """
     x, g = _prepare(state, x, g, lr)
-    t = state.t + 1
-    v = ((t - 1) * state.v + g * g) / t
-    new_state = OptState(m=state.m, v=v, v_hat=state.v_hat, t=t)
+    return _adagrad(state, (None, np.empty(x.shape), None), x, g, lr, epsilon)
 
-    alpha_t = lr / math.sqrt(t)
-    denom = v + epsilon
-    np.sqrt(denom, out=denom)
-    update, lo, hi = _guarded_update(alpha_t, g, denom, strict=False)
-    return new_state, StepOutcome(x - update, lo, hi)
+
+def _in_place(kernel, fresh: bool = False, **params) -> Callable:
+    """The stepper ``(state, x, g, lr)`` that ``REGISTRY`` binds:
+    ``kernel`` writing the new moments over ``state``'s own arrays, which
+    the harness owns, and returning them with the new ``t``. It skips
+    ``_prepare``'s checks, which the harness has made or the oracles' block
+    contract promises: equal shapes, a finite gradient, a schedule's
+    positive ``lr``. A step that may raise ``NumericError`` (``fresh``: a
+    strict rule at ``epsilon = 0``) writes fresh arrays instead, so that a
+    raise leaves ``state`` as given."""
+    def step(state, x, g, lr):
+        # float64 first: NEP 50 would round a float32 gradient otherwise
+        x = np.asarray(x, dtype=np.float64)
+        g = np.asarray(g, dtype=np.float64)
+        out = ((np.empty(x.shape), np.empty(x.shape), np.empty(x.shape))
+               if fresh else (state.m, state.v, state.v_hat))
+        return kernel(state, out, x, g, lr, **params)
+    return step
 
 
 @dataclass(frozen=True)
 class OptimizerEntry:
     """What the harness, the CLI and the theory checks know of an optimizer.
 
-    ``bind`` turns resolved parameters into a stepper ``(state, x, g, lr)``;
+    ``bind`` turns resolved parameters into a stepper ``(state, x, g, lr)``
+    that may update ``state``'s arrays in place (``_in_place``);
     ``vhat_field`` feeds the trace's ``vhat_*`` columns; ``compare_lr`` is
     ``compare``'s default base rate; ``padam_config`` maps parameters into
     the partially adaptive family (``None`` outside it). A parameter's CLI
@@ -382,25 +464,27 @@ def _checked(kw: dict) -> dict:
 # the single place to add an optimizer; order is the public OPTIMIZERS order
 REGISTRY: dict[str, OptimizerEntry] = {
     "padam": OptimizerEntry(
-        bind=lambda kw: partial(padam_step, cfg=PadamConfig(**kw)),
+        bind=lambda kw: _in_place(_padam, kw["epsilon"] == 0.0,
+                                  cfg=PadamConfig(**kw)),
         defaults=_PADAM_DEFAULTS, vhat_field="v_hat", compare_lr=0.1,
         padam_config=lambda kw: PadamConfig(**kw)),
     "adam": OptimizerEntry(
-        bind=lambda kw: partial(adam_step, **_checked(kw)),
+        bind=lambda kw: _in_place(_adam, **_checked(kw)),
         defaults=_ADAPTIVE_DEFAULTS, vhat_field="v", compare_lr=0.001),
     "amsgrad": OptimizerEntry(
-        bind=lambda kw: partial(amsgrad_step, **_checked(kw)),
+        bind=lambda kw: _in_place(_amsgrad, kw["epsilon"] == 0.0,
+                                  **_checked(kw)),
         defaults=_ADAPTIVE_DEFAULTS, vhat_field="v_hat", compare_lr=0.001,
         padam_config=lambda kw: PadamConfig(p=0.5, **kw)),
     "adamw": OptimizerEntry(
-        bind=lambda kw: partial(adamw_step, **_checked(kw)),
+        bind=lambda kw: _in_place(_adamw, **_checked(kw)),
         defaults={**_ADAPTIVE_DEFAULTS, "weight_decay": 0.01},
         vhat_field="v", compare_lr=0.001),
     "sgdm": OptimizerEntry(
-        bind=lambda kw: partial(sgd_momentum_step, **_checked(kw)),
+        bind=lambda kw: _in_place(_sgdm, **_checked(kw)),
         defaults={"mu": 0.9}, vhat_field="v", compare_lr=0.1,
         flag_names={"mu": "momentum"}),
     "adagrad": OptimizerEntry(
-        bind=lambda kw: partial(adagrad_step, **_checked(kw)),
+        bind=lambda kw: _in_place(_adagrad, **_checked(kw)),
         defaults={"epsilon": 1e-8}, vhat_field="v", compare_lr=0.01),
 }

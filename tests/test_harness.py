@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +411,27 @@ def test_repeat_runs_parallel_matches_serial():
     for a, b in zip(serial, batched):
         assert a.loss.tobytes() == b.loss.tobytes()
         assert a.grad_norm_sq.tobytes() == b.grad_norm_sq.tobytes()
+
+
+def test_wide_run_peak_holds_few_arrays():
+    # at its peak a run holds x, the state, the draw in use, the next one
+    # being drawn ahead on the worker, and the oracle's two temporaries:
+    # 8.8 arrays of 8d bytes, counting what run() allocates besides. It
+    # peaked at 16.8 when each step returned fresh moments beside 4-6
+    # temporaries and the exact gradient and spent draws stayed held, and
+    # at 12.8 with fresh moments alone
+    d = 2**17  # 1 MiB draws: the worker draws ahead
+    spec = RunSpec(problem=make_quadratic(d), optimizer="padam",
+                   opt_params={}, schedule=Schedule("constant", 0.1),
+                   steps=5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * d, peak / (8 * d)
 
 
 def test_mean_channel_fsum():

@@ -238,18 +238,30 @@ def test_padam_p_zero_denominator_is_exactly_one():
     assert out.effective_lr_min == out.effective_lr_max == 0.5
 
 
+# optimizer -> its public step, given the parameters REGISTRY binds
+PUBLIC_STEPS = {
+    "padam": lambda s, x, g, lr, kw: padam_step(s, x, g, lr,
+                                                PadamConfig(**kw)),
+    "adam": lambda s, x, g, lr, kw: adam_step(s, x, g, lr, **kw),
+    "amsgrad": lambda s, x, g, lr, kw: amsgrad_step(s, x, g, lr, **kw),
+    "adamw": lambda s, x, g, lr, kw: adamw_step(s, x, g, lr, **kw),
+    "sgdm": lambda s, x, g, lr, kw: sgd_momentum_step(s, x, g, lr, **kw),
+    "adagrad": lambda s, x, g, lr, kw: adagrad_step(s, x, g, lr, **kw),
+}
+
+
 def test_padam_does_not_mutate_inputs():
-    cfg = PadamConfig()
-    st0 = init_state(2)
+    # every public step, from a state some steps have filled
     x = np.array([1.0, 2.0])
     g = np.array([0.5, -0.5])
-    x0, g0 = x.copy(), g.copy()
-    m0 = st0.m.copy()
-    padam_step(st0, x, g, 0.1, cfg)
-    np.testing.assert_array_equal(x, x0)
-    np.testing.assert_array_equal(g, g0)
-    np.testing.assert_array_equal(st0.m, m0)
-    assert st0.t == 0
+    for name, step in PUBLIC_STEPS.items():
+        kw = REGISTRY[name].defaults
+        st0, _ = step(step(init_state(2), x, -g, 0.1, kw)[0], x, g, 0.1, kw)
+        before = [a.tobytes() for a in (x, g, st0.m, st0.v, st0.v_hat)]
+        st1, _ = step(st0, x, g, 0.1, kw)
+        after = [a.tobytes() for a in (x, g, st0.m, st0.v, st0.v_hat)]
+        assert after == before, name
+        assert (st0.t, st1.t) == (2, 3)
 
 
 def test_padam_accepts_float32_input():
@@ -517,6 +529,67 @@ def test_effective_lr_bounds_p_zero_and_uniform(v_hat, p, epsilon, expected):
                         PadamConfig(p=p, epsilon=epsilon))
     assert (out.effective_lr_min, out.effective_lr_max) == (expected, expected)
     assert np.isfinite(out.new_x).all()
+
+
+# (optimizer, parameters over its defaults): epsilon = 0 makes dead
+# coordinates, and a strict rule's stepper writes fresh arrays there
+_BOUND_CASES = [(name, {}) for name in REGISTRY] + [
+    (name, {"epsilon": 0.0}) for name in ("padam", "amsgrad", "adam",
+                                          "adagrad")
+] + [("padam", {"p": 0.5}), ("padam", {"p": 0.0, "epsilon": 0.0})]
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 5)])
+@pytest.mark.parametrize("name, params", _BOUND_CASES)
+def test_bound_stepper_is_the_public_step_in_place(name, params, shape):
+    # the stepper REGISTRY binds writes the moments over the state it is
+    # given, bitwise what the public step returns in fresh arrays
+    entry = REGISTRY[name]
+    kw = {**entry.defaults, **params}
+    step = entry.bind(kw)
+    fresh = name in ("padam", "amsgrad") and kw["epsilon"] == 0.0
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(shape)
+    mine = OptState(m=np.zeros(shape), v=np.zeros(shape),
+                    v_hat=np.zeros(shape))
+    want = mine
+    for _ in range(4):
+        g = rng.standard_normal(shape)
+        g[..., 1] = 0.0
+        want, want_out = PUBLIC_STEPS[name](want, x, g, 0.05, kw)
+        given = (mine.m, mine.v, mine.v_hat)
+        mine, out = step(mine, x, g, 0.05)
+        assert mine.t == want.t
+        for a, b, was in zip((mine.m, mine.v, mine.v_hat),
+                             (want.m, want.v, want.v_hat), given):
+            assert a.tobytes() == b.tobytes()
+            assert (a is was) != fresh
+        assert out.new_x.tobytes() == want_out.new_x.tobytes()
+        assert out[1:] == want_out[1:]
+        x = out.new_x
+
+
+@pytest.mark.parametrize("name", ["padam", "amsgrad"])
+def test_raising_bound_step_leaves_the_state_as_given(name):
+    # the harness stops the rows named and steps the rest from this state
+    entry = REGISTRY[name]
+    step = entry.bind({**entry.defaults, "epsilon": 0.0})
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, 4))
+    state = OptState(m=np.zeros((3, 4)), v=np.zeros((3, 4)),
+                     v_hat=np.zeros((3, 4)))
+    for _ in range(3):
+        g = rng.standard_normal((3, 4))
+        g[:, 1] = 0.0
+        state, out = step(state, x, g, 0.1)
+        x = out.new_x
+    g = rng.standard_normal((3, 4))
+    g[2, 1] = 1e-170
+    before = [a.tobytes() for a in (state.m, state.v, state.v_hat)]
+    with pytest.raises(NumericError) as err:
+        step(state, x, g, 0.1)
+    assert err.value.rows == [2]
+    assert [a.tobytes() for a in (state.m, state.v, state.v_hat)] == before
 
 
 # (optimizer, parameter, out-of-range value, message) for the parameters of

@@ -45,6 +45,11 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
     # one wide replica: the (1, d) block path on a large draw
     "run-wide": (["run", "--problem", "quadratic", "--dim", "100000",
                   "--steps", "40"], {}),
+    # the other rules alone at that size, each stepping its state in place
+    **{f"run-wide-{opt}": (["run", "--problem", "quadratic", "--dim",
+                            "100000", "--optimizer", opt, "--steps", "40"],
+                           {})
+       for opt in ("amsgrad", "adam", "adamw", "adagrad")},
     # draws of at least harness._PREFETCH_BYTES are made one step ahead on
     # a worker thread: a 12-row block in six groups, mask draws with zero
     # denominators, and two rows that stop after step 1 with a draw in
