@@ -372,9 +372,12 @@ _MLP_N = 1000
 _MLP_BATCH = 32
 _MLP_SEP = 1.8
 _MLP_FLIP = 0.04
-# rows per stacked full-batch pass: its scratch holds two (rows, n, hidden)
-# arrays, 0.5 MB each at 4 rows, and the time per row is flat at 4-32 rows
+# rows per stacked full-batch pass: its scratch holds two rows × n × hidden
+# arrays, 0.5 MB each at 4 rows; a gradient pass costs 125 µs per row at 2-4
+# rows, 135 at 8 and 165-215 at 16-32, a value pass 55-63 at 2-16
 _MLP_STACK = 4
+_MLP_COLS = {"h": _MLP_HIDDEN, "dz1": _MLP_HIDDEN, "logits": _MLP_OUT,
+             "l0": 1, "l1": 1, "top": 1, "e": 1}
 
 
 def _mlp_unpack(theta: np.ndarray):
@@ -389,37 +392,48 @@ def _mlp_unpack(theta: np.ndarray):
     return w1, b1, w2, b2
 
 
-def _mlp_scratch(rows: int, n: int) -> dict:
-    """Room for ``_mlp_eval``'s intermediates on up to ``rows`` points and
-    ``n`` samples each."""
-    return {"h": np.empty((rows, n, _MLP_HIDDEN)),
-            "dz1": np.empty((rows, n, _MLP_HIDDEN)),
-            "logits": np.empty((rows, n, _MLP_OUT)),
-            **{k: np.empty((rows, n)) for k in ("l0", "l1", "top", "e")}}
+def _mlp_scratch(lead: tuple, n: int, want_grad: bool, held: dict) -> tuple:
+    """``_mlp_eval``'s h, dz1, logits, l0, l1, top and e on ``lead`` points
+    (``()`` or ``(rows,)``) of ``n`` samples, as ``(*lead, n, k)`` and
+    ``(*lead, n)`` views, kept in ``held`` per shape over flat arrays grown
+    to the most rows asked for. A gradient pass gets h, dz1 and logits
+    sample-major, so its sums over the samples add rows of ``rows * k``
+    floats, not ``k``; a value pass has no such sums: point-major is faster."""
+    if (lead, want_grad) not in held:
+        size = n * (lead[0] if lead else 1)
+        if len(held.get("e", ())) < size:  # grow the flat arrays
+            held.clear()
+            held.update({k: np.empty(size * w) for k, w in _MLP_COLS.items()})
+        held[lead, want_grad] = tuple(
+            held[k][:size].reshape(*lead, n) if w == 1
+            else np.moveaxis(held[k][:size * w].reshape(n, *lead, w), 0, -2)
+            if want_grad else held[k][:size * w].reshape(*lead, n, w)
+            for k, w in _MLP_COLS.items())
+    return held[lead, want_grad]
 
 
-# each thread's scratch for the full-batch passes, made on first use and
-# shared by every MLP problem; a pass writes each entry before reading it,
-# so no call sees another's data. A `compare --problem mlp` operation takes
-# 9 minor page faults; allocating the stacked passes' temporaries anew took
-# 83,700, and scratch held per problem, mapped anew for each, 250
+# each thread's scratch, one dict per sample count (the full data, one
+# minibatch), made on first use and shared by every MLP problem; a pass
+# writes each entry before reading it, so no call sees another's data. An
+# in-process `compare --problem mlp --steps 300 --seeds 5` takes 14-30 minor
+# page faults after the first (221-357 with fresh minibatch intermediates)
 _MLP_HELD = threading.local()
 
 
-def _mlp_eval(theta, feats, labels, want_grad, scratch=None):
+def _mlp_eval(theta, feats, labels, want_grad, held=False):
     # one point or an (S, d) block, on the full data or on one minibatch
     # per row; stacked, each row is bitwise its lone pass. The
-    # intermediates go to the leading rows of ``scratch`` (new arrays when
-    # it is None); the value and the gradient returned are new arrays.
-    # exp, log and tanh run on contiguous arrays only, as in a lone pass.
-    # The two classes are (n,) columns, faster than (n, 2) broadcasts and
-    # the same arithmetic
+    # intermediates go to this thread's held scratch (new arrays when
+    # ``held`` is false); the value and the gradient returned are new
+    # arrays. Ufuncs and sums run in memory order in either layout, and a
+    # sum adds the samples in order; exp, log and tanh run on contiguous
+    # arrays only, as in a lone pass. The two classes are (n,) columns,
+    # faster than (n, 2) broadcasts and the same arithmetic
     theta = np.asarray(theta, dtype=np.float64)
     lead = theta.shape[:-1]  # () for one point, (S,) for a block
-    if scratch is None:
-        scratch = _mlp_scratch(lead[0] if lead else 1, labels.shape[-1])
-    h, dz1, logits, l0, l1, top, e = (
-        a[:lead[0]] if lead else a[0] for a in scratch.values())
+    n = labels.shape[-1]
+    h, dz1, logits, l0, l1, top, e = _mlp_scratch(
+        lead, n, want_grad, vars(_MLP_HELD).setdefault(n, {}) if held else {})
     w1, b1, w2, b2 = _mlp_unpack(theta)
     np.matmul(feats, w1, out=h)
     h += b1[..., None, :]
@@ -435,7 +449,6 @@ def _mlp_eval(theta, feats, labels, want_grad, scratch=None):
     np.log(log_z, out=log_z)
     l0 -= log_z  # the log-probabilities
     l1 -= log_z
-    n = labels.shape[-1]
     # the log-probability of each sample's own label
     value = _per_point(-np.where(labels, l1, l0).mean(axis=-1), theta)
     if not want_grad:
@@ -479,13 +492,10 @@ def make_mlp(task_seed: int) -> StochasticProblem:
     last = (None, 0.0)
 
     def full_batch(x, want_grad):
-        scratch = getattr(_MLP_HELD, "scratch", None)
-        if scratch is None:
-            scratch = _MLP_HELD.scratch = _mlp_scratch(_MLP_STACK, _MLP_N)
         if x.ndim == 1:
-            return _mlp_eval(x, feats, labels, want_grad, scratch)
+            return _mlp_eval(x, feats, labels, want_grad, held=True)
         values, grads = zip(*[
-            _mlp_eval(x[k:k + _MLP_STACK], feats, labels, want_grad, scratch)
+            _mlp_eval(x[k:k + _MLP_STACK], feats, labels, want_grad, True)
             for k in range(0, len(x), _MLP_STACK)])
         return (np.concatenate(values),
                 np.concatenate(grads) if want_grad else None)
@@ -505,10 +515,10 @@ def make_mlp(task_seed: int) -> StochasticProblem:
         return g
 
     def stoch_loss(x, xi):
-        return _mlp_eval(x, feats[xi], labels[xi], want_grad=False)[0]
+        return _mlp_eval(x, feats[xi], labels[xi], False, held=True)[0]
 
     def stoch_grad(x, xi):
-        return _mlp_eval(x, feats[xi], labels[xi], want_grad=True)[1]
+        return _mlp_eval(x, feats[xi], labels[xi], True, held=True)[1]
 
     def sample_xi(rng_, t):
         return _draw_rows(rng_, (_MLP_BATCH,), lambda r, row: np.copyto(

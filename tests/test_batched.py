@@ -3,8 +3,8 @@
 ``repeat_runs(specs, n)`` advances the replicas of every spec in the same
 blocks, each spec's rows with its own step rule, schedule and state, and
 returns the traces spec-major; each must be bitwise its lone ``run``.
-The MLP's full-batch passes run in stacked slices on scratch held per
-thread, so no call may see another's intermediates.
+The MLP's passes run on scratch held per thread (the full-batch ones in
+stacked slices), so no call may see another's intermediates.
 """
 
 import dataclasses
@@ -184,7 +184,9 @@ def _point_block(rows, seed=0, scale=0.3):
         (rows, make_mlp(0).dim))
 
 
-@pytest.mark.parametrize("rows", [1, 3, 4, 5, 17])
+# 2 and 6 leave remainder stacks of 2, 12 is compare's block and 16
+# finite_diff_grad's probe block
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 6, 12, 16, 17])
 def test_mlp_interleaved_calls_equal_lone_calls(rows):
     prob = make_mlp(2)
     feats, labels = prob.meta["features"], prob.meta["labels"]
@@ -212,6 +214,32 @@ def test_mlp_interleaved_calls_equal_lone_calls(rows):
         assert sg_x[k].tobytes() == prob.stoch_grad(x[k], xi[k]).tobytes()
     assert g_y0.tobytes() == lone(y[0])[1].tobytes()
     assert f_x0 == lone(x[0])[0]
+
+
+def test_mlp_held_views_follow_each_shape():
+    # one thread alternates full-batch passes on 5, 2 and 4 rows (stacks of
+    # 4 and 1, then 2, then 4) with minibatch passes on as many rows, whose
+    # scratch grows to 5 rows and is then reused at fewer; each result is
+    # bitwise a lone pass on fresh arrays
+    prob = make_mlp(4)
+    feats, labels = prob.meta["features"], prob.meta["labels"]
+    for rep in range(2):
+        for rows in (5, 2, 4):
+            x, y = _point_block(rows, rows + rep), _point_block(rows, 9 + rep)
+            xi = prob.sample_xi(
+                [np.random.default_rng(k + rep) for k in range(rows)], 1)
+            g, f_y = prob.exact_grad(x), prob.loss(y)
+            sg, sf = prob.stoch_grad(x, xi), prob.stoch_loss(y, xi)
+            for k in range(rows):
+                want_g = _mlp_eval(x[k], feats, labels, True)[1]
+                want_f = _mlp_eval(y[k], feats, labels, False)[0]
+                mini = feats[xi[k]], labels[xi[k]]
+                want_sg = _mlp_eval(x[k], *mini, True)[1]
+                want_sf = _mlp_eval(y[k], *mini, False)[0]
+                assert g[k].tobytes() == want_g.tobytes()
+                assert f_y[k].tobytes() == np.float64(want_f).tobytes()
+                assert sg[k].tobytes() == want_sg.tobytes()
+                assert sf[k].tobytes() == np.float64(want_sf).tobytes()
 
 
 def test_mlp_results_do_not_alias_scratch():

@@ -15,6 +15,10 @@ Measures the checkout ``DIR`` (default: the one holding this script):
   alone with ``pytest -k``, and for criterion 02 the µs per iteration of
   its 10^4-iteration step loop;
 - ``padambench run`` at d = 1e5, 300 steps, once per optimizer;
+- the MLP's oracle passes in one child (``MLP_PASSES``): the median µs
+  of a full-batch gradient pass on 12 rows (compare's block), a value
+  pass on 16 rows (``finite_diff_grad``'s probe block) and a minibatch
+  gradient pass on 12 rows;
 - the ``CLI_RUNS`` commands: ``compare`` on the MLP, ``sweep-p`` on the
   quadratic, a lone ``run`` at d = 10, and ``verify --suite all`` at
   perfbench's ``verify-all`` shape;
@@ -63,6 +67,24 @@ CLI_RUNS = {
     "verify-all": ["verify", "--suite", "all", "--steps", "1000", "--seeds",
                    "6", "--dim", "10"],
 }
+# prints the median µs per call of the MLP's passes as one JSON object
+MLP_PASSES = """
+import json, timeit
+import numpy as np
+from padambench.problems import make_mlp
+prob = make_mlp(0)
+rng = np.random.default_rng(0)
+x12, x16 = (0.3 * rng.standard_normal((s, prob.dim)) for s in (12, 16))
+xi = prob.sample_xi([np.random.default_rng(k) for k in range(12)], 1)
+def median_us(call, number):
+    times = sorted(timeit.repeat(call, number=number, repeat=15))
+    return 1e6 * times[len(times) // 2] / number
+print(json.dumps({
+    "grad_rows12_us": median_us(lambda: prob.exact_grad(x12), 20),
+    "value_rows16_us": median_us(lambda: prob.loss(x16), 20),
+    "stoch_grad_rows12_us": median_us(lambda: prob.stoch_grad(x12, xi), 200),
+}))
+"""
 
 
 def _child(argv: list[str], checkout: Path) -> tuple[str, dict]:
@@ -161,6 +183,12 @@ def _cli_runs(checkout: Path) -> dict:
             for name, argv in CLI_RUNS.items()}
 
 
+def _mlp_passes(checkout: Path) -> dict:
+    print("bench: MLP passes", flush=True)
+    stdout, child = _child([sys.executable, "-c", MLP_PASSES], checkout)
+    return {**json.loads(stdout), "child": child}
+
+
 def _src_lines(checkout: Path) -> dict:
     files = sorted((checkout / "src" / "padambench").glob("*.py"))
     per_file = {f.name: len(f.read_text().splitlines()) for f in files}
@@ -192,6 +220,7 @@ def main(argv=None) -> int:
         criteria[tag] = _criterion_seconds(checkout, tag, test)
     wide_runs = _wide_runs(checkout)
     cli_runs = _cli_runs(checkout)
+    mlp_passes = _mlp_passes(checkout)
     record = {
         "n": args.n,
         "env": {"python": platform.python_version(), "numpy": np.__version__,
@@ -202,6 +231,7 @@ def main(argv=None) -> int:
         "criteria": criteria,
         "wide_runs": wide_runs,
         "cli_runs": cli_runs,
+        "mlp_passes": mlp_passes,
         "src_lines": _src_lines(checkout),
     }
     path = ROOT / f"BENCH_{args.n}.json"

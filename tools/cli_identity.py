@@ -36,6 +36,9 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
                      "adagrad", "--steps", "40", "--seeds", "18"], {}),
     "run-mlp-seeds17": (["run", "--problem", "mlp", "--steps", "20",
                          "--seeds", "17"], {}),
+    # a 7-row block: full-batch stacks of 4 and 3 rows
+    "run-mlp-seeds7": (["run", "--problem", "mlp", "--steps", "20",
+                        "--seeds", "7"], {}),
     # a lone run steps on the oracle's own gradient array, not a block row
     "run-mlp": (["run", "--problem", "mlp", "--steps", "40"], {}),
     "run-multistage": (["run", "--problem", "rosenbrock", "--schedule",
