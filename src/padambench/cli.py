@@ -33,7 +33,6 @@ from .harness import (
     _write_table,
     mean_channel,
     repeat_runs,
-    run,
     write_trace_csv,
 )
 from .optim import REGISTRY, PadamConfig
@@ -63,10 +62,7 @@ _PROBLEMS = {
     "quadratic": (make_quadratic, ("dim", "condition-number", "noise")),
     "rosenbrock": (make_rosenbrock, ("dim",)),
     "logistic": (make_logistic, ("dim", "n-samples", "data-seed")),
-    "sparse-growth": (
-        lambda dim, sparsity, rho, seed:
-            make_sparse_growth(dim, sparsity, seed, rho),
-        ("dim", "sparsity", "rho", "data-seed")),
+    "sparse-growth": (make_sparse_growth, ("dim", "sparsity", "rho")),
     "mlp": (make_mlp, ("data-seed",)),
 }
 
@@ -180,9 +176,7 @@ def _build_parser() -> _Parser:
 
     p_ver = subs.add_parser("verify", help="check reductions, gradients, "
                                            "trajectory facts, or the bound")
-    p_ver.add_argument("--suite", default="all",
-                       choices=("reductions", "gradients", "trajectory",
-                                "bound", "all"))
+    p_ver.add_argument("--suite", default="all", choices=(*_SUITES, "all"))
     _add_flags(p_ver, tuple(_VERIFY_DEFAULTS))
     p_ver.add_argument("--outdir", type=str, default=".")
     return parser
@@ -306,20 +300,20 @@ def _flat_config(cfg) -> dict:
     return out
 
 
-def _mean_rows(traces) -> list[tuple]:
-    """``(t, mean loss, mean squared grad norm)`` over the replicas, for
-    each step they all recorded."""
-    losses = mean_channel(traces, "loss")
-    gns = mean_channel(traces, "grad_norm_sq")
-    return [(int(t), float(loss), float(gn))
-            for t, loss, gn in zip(traces[0].t, losses, gns)]
-
-
-def _runs_per_spec(specs, seeds: int) -> list[list]:
-    """The traces of ``seeds`` replicas of each spec, all run as one
-    ``repeat_runs`` call, split back per spec."""
+def _replicas(specs, seeds: int):
+    """``seeds`` replicas of each spec, all run as one ``repeat_runs``
+    call. Returns each spec's traces with its rows ``(t, mean loss, mean
+    squared grad norm)`` over each step they all recorded, and whether any
+    replica diverged."""
     traces = repeat_runs(specs, seeds)
-    return [traces[k:k + seeds] for k in range(0, len(traces), seeds)]
+    per_spec = []
+    for k in range(0, len(traces), seeds):
+        group = traces[k:k + seeds]
+        rows = zip(group[0].t, mean_channel(group, "loss"),
+                   mean_channel(group, "grad_norm_sq"))
+        per_spec.append((group, [(int(t), float(loss), float(gn))
+                                 for t, loss, gn in rows]))
+    return per_spec, any(tr.diverged for tr in traces)
 
 
 def _outdir(args) -> Path:
@@ -328,11 +322,17 @@ def _outdir(args) -> Path:
     return path
 
 
-def _write_meta(table_path: Path, payload: dict) -> None:
-    """Sidecar next to a summary CSV so the file is reproducible from its
-    own metadata."""
-    _atomic_write(_sidecar_path(table_path),
-                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_means(path: Path, means: dict, meta: dict, key=None) -> None:
+    """Mean rows as a CSV beside its sidecar ``meta``, which makes the
+    file reproducible. ``means`` maps each entry to its rows. In long
+    format, column ``key`` names each row's entry; with no ``key``,
+    ``means`` holds one entry, whose rows stand alone."""
+    header = ["t", "mean_loss", "mean_grad_norm_sq"]
+    _write_table(path, [key, *header] if key else header,
+                 [(k, *row) if key else row
+                  for k, rows in means.items() for row in rows])
+    _atomic_write(_sidecar_path(path),
+                  json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -345,33 +345,29 @@ def _cmd_run(args) -> int:
     flat = _flat_config(cfg)
     outdir = _outdir(args)
     seeds = cfg["seeds"] if "seeds" in given else 1
-    if seeds <= 1:
-        trace = run(spec)
-        trace.meta["config"] = flat
+    [(traces, rows)], diverged = _replicas([spec], seeds)
+    for tr in traces:
+        tr.meta["config"] = dict(flat, seed=tr.meta["seed"])
+    if seeds == 1:
+        trace = traces[0]
         path = write_trace_csv(trace, outdir / "trace.csv")
         print(f"wrote {path}")
         print(f"recorded {len(trace.t)} steps, final loss "
               f"{trace.loss[-1]:.8g}, final grad norm^2 "
               f"{trace.grad_norm_sq[-1]:.8g}")
-        if trace.diverged:
+        if diverged:
             print("run diverged; the trace is truncated at the last "
                   "finite row", file=sys.stderr)
-            return 2
-        return 0
-    traces = repeat_runs(spec, seeds)
+        return 2 if diverged else 0
     for tr in traces:
-        tr.meta["config"] = dict(flat, seed=tr.meta["seed"])
         write_trace_csv(tr, outdir / f"trace_seed{tr.meta['seed']}.csv")
-    rows = _mean_rows(traces)
     path = outdir / "summary.csv"
-    _write_table(path, ["t", "mean_loss", "mean_grad_norm_sq"], rows)
-    _write_meta(path, {"config": flat, "seeds": seeds})
+    _write_means(path, {None: rows}, {"config": flat, "seeds": seeds})
     print(f"wrote {seeds} traces and {path}")
     print(f"mean final loss {rows[-1][1]:.8g} over {seeds} seeds")
-    if any(tr.diverged for tr in traces):
+    if diverged:
         print("at least one replica diverged", file=sys.stderr)
-        return 2
-    return 0
+    return 2 if diverged else 0
 
 
 def _cmd_sweep_p(args) -> int:
@@ -381,29 +377,22 @@ def _cmd_sweep_p(args) -> int:
     if not grid:
         raise ConfigError("empty p list")
     problem = _build_problem(cfg)
-    per_p = _runs_per_spec([_build_spec({**cfg, "p": p}, problem, "padam",
-                                        cfg["lr"]) for p in grid],
-                           cfg["seeds"])
-    rows = []
-    finals = []
-    any_diverged = False
-    for p, traces in zip(grid, per_p):
-        any_diverged |= any(tr.diverged for tr in traces)
-        mean = _mean_rows(traces)
-        rows += [(p, *row) for row in mean]
-        finals.append((p, mean[-1][1]))
+    per_p, diverged = _replicas(
+        [_build_spec({**cfg, "p": p}, problem, "padam", cfg["lr"])
+         for p in grid], cfg["seeds"])
+    means = {p: mean for p, (_, mean) in zip(grid, per_p)}
     path = _outdir(args) / "sweep.csv"
-    _write_table(path, ["p", "t", "mean_loss", "mean_grad_norm_sq"], rows)
-    _write_meta(path, {"config": {k: cfg[k] for k in _SWEEP_KEYS
-                                  if k != "p-list"},
-                       "p_grid": grid,
-                       "seeds": cfg["seeds"]})
+    _write_means(path, means, {"config": {k: cfg[k] for k in _SWEEP_KEYS
+                                          if k != "p-list"},
+                               "p_grid": grid, "seeds": cfg["seeds"]},
+                 key="p")
     print(f"wrote {path}")
+    finals = [(p, mean[-1][1]) for p, mean in means.items()]
     best = min(finals, key=lambda pair: pair[1])
     for p, final in finals:
         marker = "  <- best" if p == best[0] else ""
         print(f"p={p:<8g} final mean loss {final:.8g}{marker}")
-    return 2 if any_diverged else 0
+    return 2 if diverged else 0
 
 
 def _cmd_compare(args) -> int:
@@ -418,38 +407,31 @@ def _cmd_compare(args) -> int:
     problem = _build_problem(cfg)
     specs = [_build_spec(cfg, problem, name, cfg["lr"] if "lr" in given
                          else REGISTRY[name].compare_lr) for name in names]
-    rows = []
+    per_opt, diverged = _replicas(specs, cfg["seeds"])
     summary = []
-    any_diverged = False
-    for name, spec, traces in zip(names, specs,
-                                  _runs_per_spec(specs, cfg["seeds"])):
-        lr = spec.schedule.base
-        any_diverged |= any(tr.diverged for tr in traces)
-        mean = _mean_rows(traces)
-        rows += [(name, *row) for row in mean]
+    for name, spec, (traces, mean) in zip(names, specs, per_opt):
         last_loss = [float(tr.loss[len(mean) - 1]) for tr in traces]
         last_gns = [float(tr.grad_norm_sq[len(mean) - 1]) for tr in traces]
-        summary.append((name, lr,
+        summary.append((name, spec.schedule.base,
                         float(np.mean(last_loss)), float(np.std(last_loss)),
                         float(np.mean(last_gns)), float(np.std(last_gns))))
     outdir = _outdir(args)
     path = outdir / "compare.csv"
-    _write_table(path, ["optimizer", "t", "mean_loss", "mean_grad_norm_sq"],
-                 rows)
+    _write_means(path, {n: mean for n, (_, mean) in zip(names, per_opt)},
+                 {"config": {k: cfg[k] for k in _COMPARE_KEYS
+                             if k != "optimizers"},
+                  "optimizers": names, "seeds": cfg["seeds"]},
+                 key="optimizer")
     spath = outdir / "compare_summary.csv"
     _write_table(spath, ["optimizer", "lr", "final_loss_mean",
                          "final_loss_std", "final_grad_norm_sq_mean",
                          "final_grad_norm_sq_std"], summary)
-    _write_meta(path, {"config": {k: cfg[k] for k in _COMPARE_KEYS
-                                  if k != "optimizers"},
-                       "optimizers": names,
-                       "seeds": cfg["seeds"]})
     print(f"wrote {path}")
     print(f"wrote {spath}")
     print(f"{'optimizer':<10} {'lr':>8}  final mean loss (+/- std)")
     for name, lr, lm, ls, _, _ in summary:
         print(f"{name:<10} {lr:>8g}  {lm:.8g} +/- {ls:.3g}")
-    return 2 if any_diverged else 0
+    return 2 if diverged else 0
 
 
 # --------------------------------------------------------------------------
@@ -559,40 +541,39 @@ def _verify_bound_suite(steps: int, seeds: int, seed: int, dim: int,
     return out
 
 
+# suite -> its run on the resolved verify settings ``s`` and their padam
+# config; ``all`` runs every suite in this order
+_SUITES = {
+    "reductions": lambda s, cfg: _verify_reductions(s["steps"], s["seed"]),
+    "gradients": lambda s, cfg: _verify_gradients(s["seed"]),
+    "trajectory": lambda s, cfg: _verify_trajectory(
+        s["steps"], s["seeds"], s["seed"], s["dim"], cfg,
+        s["lr"] if s["lr"] is not None else 0.05),
+    "bound": lambda s, cfg: _verify_bound_suite(
+        s["steps"], s["seeds"], s["seed"], s["dim"], cfg, s["lr"]),
+}
+
+
 def _cmd_verify(args) -> int:
     suite = args.suite
     settings, _ = _resolve(args, tuple(_VERIFY_DEFAULTS), _VERIFY_DEFAULTS)
-    steps, seeds, seed, dim, lr = (settings[k] for k in
-                                   ("steps", "seeds", "seed", "dim", "lr"))
     cfg = PadamConfig(**_flag_params(settings, "padam"))
-
-    def run_suite(name: str) -> dict:
-        started = time.perf_counter()
-        if name == "reductions":
-            out = _verify_reductions(steps, seed)
-        elif name == "gradients":
-            out = _verify_gradients(seed)
-        elif name == "trajectory":
-            out = _verify_trajectory(steps, seeds, seed, dim, cfg,
-                                     lr if lr is not None else 0.05)
-        else:
-            out = _verify_bound_suite(steps, seeds, seed, dim, cfg, lr)
-        out["wall_ms"] = 1000.0 * (time.perf_counter() - started)
-        return out
-
     report: dict = {"suite": suite, "config": settings}
-    try:
-        if suite == "all":
-            sub = {}
-            for name in ("reductions", "gradients", "trajectory", "bound"):
-                sub[name] = run_suite(name)
-            report["suites"] = sub
-            report["passed"] = all(s["passed"] for s in sub.values())
-        else:
-            report.update(run_suite(suite))
-    except HypothesisError as e:
-        report["passed"] = False
-        report["error"] = str(e)
+    results = {}
+    for name in _SUITES if suite == "all" else (suite,):
+        started = time.perf_counter()
+        try:
+            out = _SUITES[name](settings, cfg)
+            out["wall_ms"] = 1000.0 * (time.perf_counter() - started)
+        except HypothesisError as e:  # the other suites still run
+            out = {"passed": False, "error": str(e)}
+            report.setdefault("error", str(e))
+        results[name] = out
+    if suite == "all":
+        report["suites"] = results
+        report["passed"] = all(s["passed"] for s in results.values())
+    else:
+        report.update(results[suite])
 
     path = _outdir(args) / "report.json"
     _atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -312,7 +312,7 @@ def logistic_newton_optimum(
 
 
 def make_sparse_growth(
-    dim: int, sparsity: float = 1.0, seed: int = 0, rho: float = 0.0
+    dim: int, sparsity: float = 1.0, rho: float = 0.0
 ) -> StochasticProblem:
     """Identity quadratic observed through a decaying random mask.
 
@@ -361,7 +361,7 @@ def make_sparse_growth(
         known_G_inf=box,
         known_f_star=0.0,
         box=box,
-        meta={"sparsity": sparsity, "seed": seed, "rho": rho},
+        meta={"sparsity": sparsity, "rho": rho},
     )
 
 

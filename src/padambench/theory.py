@@ -195,16 +195,13 @@ class GrowthEstimate:
     degenerate: bool
 
 
-def _growth_estimate(sq_sum: np.ndarray, g_max: float, steps: int,
-                     g_inf: float | None) -> GrowthEstimate:
+def _growth_estimate(sq_sum: np.ndarray, steps: int,
+                     g_inf: float) -> GrowthEstimate:
     """``estimate_growth_s`` of a stream of ``steps`` gradients from its
-    per-coordinate sum of ``g*g`` and its largest ``|g|``, which stands in
-    for ``g_inf`` when that is ``None``."""
+    per-coordinate sum of ``g*g``."""
     final_max = float(np.sqrt(sq_sum).max())
     if final_max == 0.0:
         return GrowthEstimate(s=0.0, degenerate=True)
-    if g_inf is None:
-        g_inf = float(g_max)
     raw = math.log(final_max / g_inf) / math.log(steps)
     return GrowthEstimate(s=min(0.5, max(0.0, raw)), degenerate=False)
 
@@ -218,14 +215,17 @@ def estimate_growth_s(
     The point estimate is the smallest ``s`` with
     ``max_i ||g_{1:T,i}||_2 <= g_inf * T**s`` pathwise, clamped to
     ``[0, 1/2]``. An all-zero stream is flagged degenerate and reports
-    ``s = 0``.
+    ``s = 0``. The largest ``|g|`` stands in for ``g_inf`` when that is
+    ``None``.
     """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] < 2:
         raise ValueError("need a (T, d) gradient stream with T >= 2")
+    if g_inf is None:
+        g_inf = float(np.abs(grads).max())
     # cumsum adds step by step, as the fold does: the same bits
     return _growth_estimate(np.cumsum(grads * grads, axis=0)[-1],
-                            np.abs(grads).max(), len(grads), g_inf)
+                            len(grads), g_inf)
 
 
 # --------------------------------------------------------------------------
@@ -283,10 +283,10 @@ class _Fold:
     over. ``add`` takes the window's iterates and the one after, ``(S, n +
     1, d)``, then its ``g``, ``m`` and ``vhat``, ``(S, n, d)``, and lrs,
     ``(S, n)``. The fold carries one previous row, each check's running
-    worst, the largest ``|g|``, and the update energies and ``g*g`` per
-    coordinate, summed step by step; every split into windows gives the
-    same bits. ``run_trajectory_checks`` and ``check_smoothness_gap`` run
-    it over a dense trace as one window."""
+    worst, and the update energies and ``g*g`` per coordinate, summed
+    step by step; every split into windows gives the same bits.
+    ``run_trajectory_checks`` and ``check_smoothness_gap`` run it over a
+    dense trace as one window."""
 
     def __init__(self, cfg: PadamConfig, rows: int,
                  problem: StochasticProblem):
@@ -294,7 +294,6 @@ class _Fold:
         self.prev = None  # the last step's x, m, update and effective lr
         self.vhat1 = None
         self.sq_sum = np.zeros((rows, problem.dim))
-        self.g_max = np.full(rows, -math.inf)
         self.resid = np.full(rows, -math.inf)
         self.slack = np.full(rows, math.inf)
         self.monotone = np.ones(rows, dtype=bool)
@@ -309,7 +308,6 @@ class _Fold:
             self.vhat1 = vhat[:, 0].copy()
         self.m_max = np.maximum(self.m_max, np.abs(m).max(axis=(1, 2)))
         self.v_max = np.maximum(self.v_max, vhat.max(axis=(1, 2)))
-        self.g_max = np.maximum(self.g_max, np.abs(g).max(axis=(1, 2)))
         sq = g * g
         sq[:, 0] += self.sq_sum
         self.sq_sum = np.cumsum(sq, axis=1)[:, -1].copy()
@@ -630,7 +628,7 @@ def verify_bound(
         else:
             vhat1_parts.append(float(np.sum(raw1)))
         fitted = max(fitted, _growth_estimate(
-            fold.sq_sum[j], fold.g_max[j], steps, problem.known_G_inf).s)
+            fold.sq_sum[j], steps, problem.known_G_inf).s)
         _keep_worst(agg, fold.results(j, trace))
         out_rng = np.random.default_rng(seed + 777_000 + k)
         t_out = select_output_indices(trace, None, out_rng, 1)[0]

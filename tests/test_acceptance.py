@@ -113,9 +113,11 @@ def test_c03_trajectory_inequalities_on_randomized_traces():
                                   condition_number=float(master.uniform(1, 20)),
                                   noise=float(master.uniform(0.05, 0.5)))
         elif kind == 1:
-            prob = make_sparse_growth(int(master.integers(4, 11)),
-                                      sparsity=float(master.uniform(0.3, 1.0)),
-                                      seed=int(master.integers(0, 100)),
+            dim = int(master.integers(4, 11))
+            sparsity = float(master.uniform(0.3, 1.0))
+            master.integers(0, 100)  # unread: without it the later draws,
+            # and so every case, would shift
+            prob = make_sparse_growth(dim, sparsity=sparsity,
                                       rho=float(master.uniform(0.0, 1.0)))
         else:
             prob = make_logistic(int(master.integers(3, 7)),
@@ -179,7 +181,7 @@ def test_c05_growth_exponent_estimation():
     steps = 100_000
     details, ok = [], True
     for sparsity, rho, target in targets:
-        prob = make_sparse_growth(10, sparsity=sparsity, seed=5, rho=rho)
+        prob = make_sparse_growth(10, sparsity=sparsity, rho=rho)
         corner = np.full(10, prob.box)
         rng = np.random.default_rng(7)
         grads = np.empty((steps, 10))
@@ -226,7 +228,7 @@ def test_c07_analytic_gradients_match_finite_differences():
         ("quadratic", make_quadratic(8, condition_number=10.0, noise=0.3), 1.0),
         ("rosenbrock", make_rosenbrock(10), 0.5),
         ("logistic", make_logistic(6, n_samples=60, seed=0), 0.5),
-        ("sparse_growth", make_sparse_growth(7, sparsity=0.5, seed=1, rho=0.5), 1.0),
+        ("sparse_growth", make_sparse_growth(7, sparsity=0.5, rho=0.5), 1.0),
         ("mlp", make_mlp(task_seed=99), 0.2),
     ]
     rng = np.random.default_rng(20)
@@ -279,7 +281,7 @@ def test_c09_horizon_scaling_of_gradient_norm():
     # size, the best squared gradient norm must decay like T^c with
     # c in [-1.1, -0.4] across five horizons (8 seeds each)
     t0 = time.perf_counter()
-    prob = make_sparse_growth(10, sparsity=1.0, seed=123, rho=1.0)
+    prob = make_sparse_growth(10, sparsity=1.0, rho=1.0)
     horizons = [100, 316, 1000, 3162, 10_000]
     ys = []
     for steps in horizons:

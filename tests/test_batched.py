@@ -100,7 +100,7 @@ def test_mixed_block_with_diverging_rows():
 
 def test_mixed_block_with_zero_denominators():
     traces = _assert_mixed_equals_lone(
-        _specs(make_sparse_growth(6, sparsity=0.1, seed=0), 40,
+        _specs(make_sparse_growth(6, sparsity=0.1), 40,
                epsilon=0.0), 3)
     assert any(np.isinf(tr.eff_lr_max).any() for tr in traces)
 
@@ -145,7 +145,7 @@ def test_mixed_specs_cross_a_block_boundary(monkeypatch):
     (lambda: make_quadratic(5, 8.0, 0.1), None, {}),
     (lambda: make_mlp(0), None, {}),
     (lambda: make_rosenbrock(4), 0.5, {}),  # some rows diverge
-    (lambda: make_sparse_growth(6, sparsity=0.1, seed=0), None,
+    (lambda: make_sparse_growth(6, sparsity=0.1), None,
      {"epsilon": 0.0}),
     (_tiny_gradient_problem, 0.05, {"epsilon": 0.0}),  # NumericError rows
 ])
@@ -177,6 +177,8 @@ def test_specs_of_one_block_must_share_problem_and_length(change):
 def test_no_specs_is_an_error():
     with pytest.raises(ValueError, match="no run specs"):
         repeat_runs([], 2)
+    with pytest.raises(ValueError, match="at least one seed"):
+        repeat_runs(_specs(make_quadratic(5, 8.0, 0.1), 30), 0)
 
 
 def _point_block(rows, seed=0, scale=0.3):

@@ -150,6 +150,16 @@ def test_config_file_round_trip(tmp_path, capsys):
     assert sidecar["config"]["condition-number"] == 3.0
 
 
+def test_config_file_null_init_seed_is_unset(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"problem": "quadratic", "dim": 3,
+                                    "steps": 5, "init-seed": None}))
+    rc = main(["run", "--config", str(cfg_path), "--outdir", str(tmp_path)])
+    assert rc == 0
+    sidecar = json.loads((tmp_path / "trace.meta.json").read_text())
+    assert "init-seed" not in sidecar["config"]
+
+
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"problem": "quadratic", "stepz": 5}))
@@ -289,6 +299,27 @@ def test_verify_all_suite(tmp_path, capsys):
         assert sub["wall_ms"] > 0.0, name
 
 
+def test_verify_all_keeps_the_suites_that_finished(tmp_path, capsys):
+    # beta1 >= beta2^(2p) voids the bound: that suite raises, after the
+    # other three ran
+    rc = main(["verify", "--suite", "all", "--beta1", "0.9999", "--beta2",
+               "0.9", "--p", "0.5", "--steps", "50", "--seeds", "2",
+               "--outdir", str(tmp_path)])
+    assert rc == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    error = "beta1/beta2^(2p) = 1.111000 must be below 1"
+    assert (report["passed"], report["error"]) == (False, error)
+    suites = report["suites"]
+    assert suites["bound"] == {"passed": False, "error": error}
+    for name in ("reductions", "gradients", "trajectory"):
+        assert suites[name]["wall_ms"] > 0.0, name
+    assert suites["reductions"]["passed"] is True
+    assert set(suites["trajectory"]["checks"]) == {
+        "z_identity", "z_step_bound", "smoothness_gap", "moment_bounds",
+        "update_energy"}
+    assert error in capsys.readouterr().err
+
+
 def test_verify_unknown_suite_is_config_error(tmp_path):
     assert main(["verify", "--suite", "bogus", "--outdir", str(tmp_path)]) == 1
 
@@ -402,6 +433,7 @@ def test_config_file_matches_flags(command, values, tmp_path, capsys):
     ({"steps": True}, "steps"),
     ({"schedule": "cosine"}, "schedule"),
     ({"milestones": [2.5]}, "milestones"),
+    ({"lr": 10 ** 400}, "lr"),  # an int beyond the float range
 ])
 def test_config_value_must_match_flag_type(body, key, tmp_path, capsys):
     cfg_path = tmp_path / "c.json"

@@ -114,6 +114,8 @@ def test_run_rejects_short_horizon():
 def test_run_rejects_unknown_optimizer():
     with pytest.raises(ValueError):
         run(quad_spec(optimizer="nadam"))
+    with pytest.raises(ValueError, match="unknown parameters for padam"):
+        run(quad_spec(opt_params={"momentum": 0.9}))
 
 
 def test_run_lr_column_follows_schedule():
@@ -244,6 +246,9 @@ def test_select_output_constant_schedule_uniform():
     idx = select_output_indices(trace, None, np.random.default_rng(4), 100_000)
     freq = np.bincount(idx, minlength=6)[2:] / 100_000
     np.testing.assert_allclose(freq, 0.25, atol=0.01)
+    short = dataclasses.replace(trace, t=trace.t[:1])
+    with pytest.raises(ValueError, match="at least 2 recorded steps"):
+        select_output_indices(short, None, np.random.default_rng(4), 1)
 
 
 # -------------------------------------------------------------- persistence
@@ -440,6 +445,8 @@ def test_mean_channel_fsum():
     stacked = np.stack([tr.loss for tr in traces])
     np.testing.assert_allclose(mean, stacked.mean(axis=0), rtol=1e-15)
     assert mean.shape == (10,)
+    with pytest.raises(ValueError, match="no traces"):
+        mean_channel([], "loss")
 
 
 @pytest.mark.parametrize("values", [(math.inf, 1e308, 1e308),

@@ -213,6 +213,12 @@ def test_padam_rejects_nonfinite_gradient():
         padam_step(init_state(2), np.zeros(2), np.array([1.0, np.nan]), 0.1, cfg)
 
 
+def test_padam_rejects_negative_lr():
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        padam_step(init_state(2), np.zeros(2), np.ones(2), -0.1,
+                   PadamConfig())
+
+
 def test_padam_config_validation():
     with pytest.raises(ValueError):
         PadamConfig(p=0.51)

@@ -171,7 +171,7 @@ def test_logistic_features_are_clipped():
 
 def test_sparse_growth_dense_config_is_exact():
     # sparsity=1, rho=0 activates every coordinate at every step
-    prob = make_sparse_growth(5, sparsity=1.0, seed=0, rho=0.0)
+    prob = make_sparse_growth(5, sparsity=1.0, rho=0.0)
     rng = np.random.default_rng(9)
     x = rng.standard_normal(5)
     xi = prob.sample_xi(rng, 1)
@@ -182,7 +182,7 @@ def test_sparse_growth_dense_config_is_exact():
 
 
 def test_sparse_growth_activation_probability_decays():
-    prob = make_sparse_growth(2000, sparsity=1.0, seed=1, rho=1.0)
+    prob = make_sparse_growth(2000, sparsity=1.0, rho=1.0)
     rng = np.random.default_rng(10)
     # expected activation fraction at step t is min(1, t^-rho)
     frac_t1 = prob.sample_xi(rng, 1).mean()
@@ -192,14 +192,14 @@ def test_sparse_growth_activation_probability_decays():
 
 
 def test_sparse_growth_sparsity_scales_activation():
-    prob = make_sparse_growth(4000, sparsity=0.25, seed=2, rho=0.0)
+    prob = make_sparse_growth(4000, sparsity=0.25, rho=0.0)
     rng = np.random.default_rng(11)
     frac = np.mean([prob.sample_xi(rng, t).mean() for t in range(1, 20)])
     np.testing.assert_allclose(frac, 0.25, atol=0.02)
 
 
 def test_sparse_growth_masked_loss_matches_masked_grad():
-    prob = make_sparse_growth(6, sparsity=0.5, seed=3, rho=0.3)
+    prob = make_sparse_growth(6, sparsity=0.5, rho=0.3)
     rng = np.random.default_rng(12)
     x = rng.standard_normal(6)
     xi = prob.sample_xi(rng, 5)
@@ -208,7 +208,7 @@ def test_sparse_growth_masked_loss_matches_masked_grad():
 
 
 def test_sparse_growth_grad_bounded_by_box():
-    prob = make_sparse_growth(3, sparsity=1.0, seed=4, rho=0.5)
+    prob = make_sparse_growth(3, sparsity=1.0, rho=0.5)
     assert prob.known_G_inf == prob.box
 
 
@@ -369,6 +369,23 @@ def test_mlp_label_noise_fraction():
 # ------------------------------------------------------------- finite diff
 
 
+@pytest.mark.parametrize("factory", [
+    lambda: make_quadratic(0),
+    lambda: make_quadratic(3, condition_number=0.5),
+    lambda: make_quadratic(3, noise=-0.1),
+    lambda: make_rosenbrock(1),
+    lambda: make_logistic(0, 40, seed=0),
+    lambda: make_logistic(3, 1, seed=0),
+    lambda: make_sparse_growth(0),
+    lambda: make_sparse_growth(3, sparsity=0.0),
+    lambda: make_sparse_growth(3, sparsity=1.5),
+    lambda: make_sparse_growth(3, rho=-0.1),
+])
+def test_factories_reject_bad_arguments(factory):
+    with pytest.raises(ValueError):
+        factory()
+
+
 def test_finite_diff_rejects_bad_step():
     prob = make_rosenbrock(2)
     with pytest.raises(ValueError):
@@ -398,7 +415,7 @@ def _lone_central_differences(f, x, h):
     lambda: make_quadratic(40, condition_number=8.0, noise=0.1),
     lambda: make_rosenbrock(6),
     lambda: make_logistic(5, 80, seed=1),
-    lambda: make_sparse_growth(9, sparsity=0.5, seed=2, rho=0.3),
+    lambda: make_sparse_growth(9, sparsity=0.5, rho=0.3),
     lambda: make_mlp(4),
 ], ids=["quadratic", "quadratic-40", "rosenbrock", "logistic",
         "sparse-growth", "mlp-210"])

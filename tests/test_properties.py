@@ -263,7 +263,7 @@ PROBLEMS = {
     "quadratic": make_quadratic(7, condition_number=8.0, noise=0.1),
     "rosenbrock": make_rosenbrock(5),
     "logistic": make_logistic(6, 50, seed=1),
-    "sparse-growth": make_sparse_growth(6, sparsity=0.5, seed=0, rho=0.3),
+    "sparse-growth": make_sparse_growth(6, sparsity=0.5, rho=0.3),
     "mlp": make_mlp(2),
 }
 

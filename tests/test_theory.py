@@ -118,6 +118,8 @@ def test_corollary_matches_theorem_at_q_zero():
 def test_corollary_needs_small_p():
     with pytest.raises(HypothesisError):
         bound_q0(REF.replace(p=0.3))
+    with pytest.raises(HypothesisError, match="must be below 1"):
+        bound_q0(REF.replace(beta1=0.95, beta2=0.9, p=0.25))
 
 
 def test_bound_inputs_validation():
@@ -129,6 +131,11 @@ def test_bound_inputs_validation():
         REF.replace(s=0.6)
     with pytest.raises(ValueError):
         REF.replace(alpha=-0.1)
+    for bad in ({"smoothness": 0.0}, {"delta_f": -1.0}, {"dim": 0},
+                {"beta1": 1.0}, {"beta2": 1.0}, {"p": 0.6},
+                {"vhat1_term": math.inf}):
+        with pytest.raises(ValueError):
+            REF.replace(**bad)
 
 
 # ------------------------------------------------------------ step size rule
@@ -150,6 +157,8 @@ def test_optimal_alpha_validation():
         optimal_alpha(0, 10, 0.0)
     with pytest.raises(ValueError):
         optimal_alpha(10, 1, 0.6)
+    with pytest.raises(ValueError):
+        optimal_alpha(10, 10, 0.0, scale=0.0)
 
 
 # ---------------------------------------------------------- growth exponent
@@ -275,8 +284,7 @@ def _smoothness_gap_per_row(trace, problem, cfg, L):
 _CERTIFIED = {
     "quadratic": lambda d: make_quadratic(d, condition_number=10.0),
     "logistic": lambda d: make_logistic(d, 60, seed=0),
-    "sparse-growth": lambda d: make_sparse_growth(d, sparsity=0.5, seed=1,
-                                                  rho=0.5),
+    "sparse-growth": lambda d: make_sparse_growth(d, sparsity=0.5, rho=0.5),
 }
 
 
@@ -337,6 +345,9 @@ def test_verify_bound_needs_certified_problem():
     prob = make_mlp(task_seed=99)  # no certified constants
     with pytest.raises(ValueError):
         verify_bound(prob, PadamConfig(), alpha=0.01, steps=50, n_seeds=2)
+    with pytest.raises(ValueError, match="at least one seed"):
+        verify_bound(make_quadratic(3), PadamConfig(), alpha=0.01, steps=50,
+                     n_seeds=0)
 
 
 def _inf_beyond(threshold):
@@ -458,6 +469,16 @@ def test_update_energy_step_sums_match_the_pairwise_sum():
     for got, a in zip(fold.energy[:, 0], (trace.dense["m"], trace.dense["g"])):
         want = float(np.sum((trace.lr[0] * a * scaled) ** 2))
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_update_energy_on_an_all_zero_gradient_stream():
+    # started at the optimum without noise, every gradient is 0: both
+    # energies and their budgets are 0, which the check passes as ratio 0
+    prob, _, trace = dense_padam_trace(noise=0.0, start=np.zeros(3))
+    assert not trace.dense["g"].any()
+    res = run_trajectory_checks(trace, prob)["update_energy"]
+    assert (res.status, res.margin) == ("pass", 1.0)
+    assert res.detail == "momentum ratio 0.000e+00, gradient ratio 0.000e+00"
 
 
 def test_verify_bound_zero_first_step_denominator():

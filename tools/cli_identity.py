@@ -32,6 +32,9 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
        for opt in _OPTIMIZERS},
     "run-seeds17": (["run", "--problem", "quadratic", "--steps", "60",
                      "--seeds", "17"], {}),
+    # one seed given explicitly: the lone-trace output of the default
+    "run-seeds1": (["run", "--problem", "quadratic", "--steps", "60",
+                    "--seeds", "1"], {}),
     "run-seeds18": (["run", "--problem", "logistic", "--optimizer",
                      "adagrad", "--steps", "40", "--seeds", "18"], {}),
     "run-mlp-seeds17": (["run", "--problem", "mlp", "--steps", "20",
@@ -93,6 +96,11 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
                            "60", "--seeds", "4"], {}),
     "compare-mlp": (["compare", "--problem", "mlp", "--steps", "30",
                      "--seeds", "3"], {}),
+    # one-entry lists: a block of one optimizer, and of one exponent
+    "compare-adam": (["compare", "--problem", "quadratic", "--steps", "40",
+                      "--seeds", "3", "--optimizers", "adam"], {}),
+    "sweep-p-one": (["sweep-p", "--problem", "quadratic", "--steps", "40",
+                     "--seeds", "2", "--p-list", "0.25"], {}),
     # one block across optimizers, some of whose rows diverge
     "compare-diverging": (["compare", "--problem", "rosenbrock",
                            "--lr", "0.5", "--steps", "100",
@@ -119,6 +127,10 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
     # a window of 64 steps does not divide 700, and 17 seeds pass 16
     "verify-all-700x17": (["verify", "--suite", "all", "--steps", "700",
                            "--seeds", "17"], {}),
+    # the bound suite raises on beta1 >= beta2^(2p) after the others ran
+    "verify-all-hypothesis": (["verify", "--suite", "all", "--beta1",
+                               "0.9999", "--beta2", "0.9", "--p", "0.5",
+                               "--steps", "50", "--seeds", "2"], {}),
     # the shape perfbench's verify-all workload runs
     "verify-all-gated": (["verify", "--suite", "all", "--steps", "1000",
                           "--seeds", "6", "--seed", "0", "--dim", "10"], {}),
