@@ -121,13 +121,11 @@ def _help_order(*keys) -> tuple:
     return tuple(k for k in _DEFAULTS if k in keys)
 
 
-# keys of run, sweep-p and compare alike; sweep-p only runs padam, with
-# the exponent taken from its grid
-_SHARED_KEYS = (
-    "problem", "lr", "steps", "seed", "seeds", "schedule", "milestones",
-    "decay", "dim", "condition-number", "noise", "n-samples", "sparsity",
-    "rho", "data-seed",
-)
+# keys of run, sweep-p and compare alike, every problem's among them;
+# sweep-p only runs padam, with the exponent taken from its grid
+_SHARED_KEYS = ("problem", "lr", "steps", "seed", "seeds", "schedule",
+                "milestones", "decay",
+                *(k for _, keys in _PROBLEMS.values() for k in keys))
 _RUN_KEYS = _help_order(*_SHARED_KEYS, "optimizer", "init-seed", *_OPT_FLAGS)
 _SWEEP_KEYS = _help_order(*_SHARED_KEYS, "p-list",
                           *(f for f in _PADAM_FLAGS if f != "p"))
@@ -285,19 +283,21 @@ def _build_spec(cfg, problem, optimizer: str, lr: float) -> RunSpec:
     )
 
 
-def _flat_config(cfg) -> dict:
-    """Effective settings of a run for the sidecar, kebab-case like the
-    flags."""
-    keys = ("problem", "optimizer", "lr", "schedule", "steps", "seed",
-            *REGISTRY[cfg["optimizer"]].flags.values(),
-            *_PROBLEMS[cfg["problem"]][1])
-    out = {k: cfg[k] for k in keys}
+def _flat_config(cfg, given, optimizers) -> dict:
+    """The settings that applied to a run of ``optimizers``, kebab-case
+    like the flags: a sidecar's ``config``. Keys that did not apply are
+    left out, so ``--config`` replays the file."""
+    keys = ["problem", "optimizer", "lr", "schedule", "steps", "seed",
+            *(flag for name in optimizers
+              for flag in REGISTRY[name].flags.values()),
+            *_PROBLEMS[cfg["problem"]][1]]
+    if "optimizers" in cfg and "lr" not in given:
+        keys.remove("lr")  # compare ran each optimizer at its compare_lr
     if cfg["schedule"] == "multistage":
-        out["milestones"] = cfg["milestones"]
-        out["decay"] = cfg["decay"]
-    if cfg["init-seed"] is not None:
-        out["init-seed"] = cfg["init-seed"]
-    return out
+        keys += ["milestones", "decay"]
+    if cfg.get("init-seed") is not None:
+        keys.append("init-seed")
+    return {k: cfg[k] for k in keys if k in cfg}
 
 
 def _replicas(specs, seeds: int):
@@ -342,7 +342,7 @@ def _write_means(path: Path, means: dict, meta: dict, key=None) -> None:
 def _cmd_run(args) -> int:
     cfg, given = _resolve(args, _RUN_KEYS)
     spec = _build_spec(cfg, _build_problem(cfg), cfg["optimizer"], cfg["lr"])
-    flat = _flat_config(cfg)
+    flat = _flat_config(cfg, given, [cfg["optimizer"]])
     outdir = _outdir(args)
     seeds = cfg["seeds"] if "seeds" in given else 1
     [(traces, rows)], diverged = _replicas([spec], seeds)
@@ -382,8 +382,7 @@ def _cmd_sweep_p(args) -> int:
          for p in grid], cfg["seeds"])
     means = {p: mean for p, (_, mean) in zip(grid, per_p)}
     path = _outdir(args) / "sweep.csv"
-    _write_means(path, means, {"config": {k: cfg[k] for k in _SWEEP_KEYS
-                                          if k != "p-list"},
+    _write_means(path, means, {"config": _flat_config(cfg, given, ["padam"]),
                                "p_grid": grid, "seeds": cfg["seeds"]},
                  key="p")
     print(f"wrote {path}")
@@ -418,8 +417,7 @@ def _cmd_compare(args) -> int:
     outdir = _outdir(args)
     path = outdir / "compare.csv"
     _write_means(path, {n: mean for n, (_, mean) in zip(names, per_opt)},
-                 {"config": {k: cfg[k] for k in _COMPARE_KEYS
-                             if k != "optimizers"},
+                 {"config": _flat_config(cfg, given, names),
                   "optimizers": names, "seeds": cfg["seeds"]},
                  key="optimizer")
     spath = outdir / "compare_summary.csv"

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import secrets
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -521,7 +520,7 @@ def select_output_indices(
 def _atomic_write(path: Path, text: str) -> None:
     # a fresh name opened with O_EXCL rather than mkstemp, so the file gets
     # the umask-governed mode a plain open() gives instead of 0600
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:

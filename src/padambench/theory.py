@@ -269,11 +269,10 @@ def _skip(name: str, why: str) -> CheckResult:
     return CheckResult(name, "inapplicable", 0.0, why)
 
 
-def _with_prev(prev, a: np.ndarray) -> np.ndarray:
+def _with_prev(prev: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``a`` shifted one step later along axis 1, the carried row ``prev``
-    (zeros before the first window) in front."""
-    head = np.zeros_like(a[:, :1]) if prev is None else prev
-    return np.concatenate([head, a[:, :-1]], axis=1)
+    in front."""
+    return np.concatenate([prev, a[:, :-1]], axis=1)
 
 
 class _Fold:
@@ -291,7 +290,9 @@ class _Fold:
     def __init__(self, cfg: PadamConfig, rows: int,
                  problem: StochasticProblem):
         self.cfg, self.problem = cfg, problem
-        self.prev = None  # the last step's x, m, update and effective lr
+        # the last step's x, m, update and effective lr; before the first
+        # window x_0 = x_1, m_0 = update_0 = 0 and eff_0 = eff_1
+        self.prev = None
         self.vhat1 = None
         self.sq_sum = np.zeros((rows, problem.dim))
         self.resid = np.full(rows, -math.inf)
@@ -303,16 +304,13 @@ class _Fold:
         self.energy = np.zeros((2, rows))  # momentum and gradient variants
 
     def add(self, x, g, m, vhat, lr) -> None:
-        first, n = self.vhat1 is None, g.shape[1]
-        if first:
-            self.vhat1 = vhat[:, 0].copy()
+        n = g.shape[1]
         self.m_max = np.maximum(self.m_max, np.abs(m).max(axis=(1, 2)))
         self.v_max = np.maximum(self.v_max, vhat.max(axis=(1, 2)))
         sq = g * g
         sq[:, 0] += self.sq_sum
         self.sq_sum = np.cumsum(sq, axis=1)[:, -1].copy()
         cfg = self.cfg
-        prev = self.prev or {}
         c = cfg.beta1 / (1.0 - cfg.beta1)
         alpha = lr[..., None]
         raw = _inverse_powers(vhat, cfg)
@@ -320,30 +318,27 @@ class _Fold:
         eff = alpha * raw
         update = alpha * m * scaled
         g_term = alpha * g * scaled
-        # the iterate before each of x's, x_0 taken equal to x_1
-        back = _with_prev(prev.get("x", x[:, :1]), x)
+        if self.prev is None:
+            self.vhat1 = vhat[:, 0].copy()
+            zero = np.zeros_like(m[:, :1])
+            self.prev = {"x": x[:, :1], "m": zero, "update": zero,
+                         "eff": eff[:, :1]}
+        prev = self.prev
+        back = _with_prev(prev["x"], x)  # the iterate before each of x's
         z = x + c * (x - back)  # momentum-corrected z_t, t = first..n+1
-        if first:
-            z[:, 0] = x[:, 0]
         step = z[:, 1:] - z[:, :-1]
         moved = x[:, :-1] - back[:, :-1]  # x_t - x_{t-1}
-        if first:
-            moved[:, 0] = 0.0
 
         # z_identity: the exact increment of z
-        rhs = c * (_with_prev(prev.get("update"), update)
-                   - alpha * _with_prev(prev.get("m"), m) * scaled) - g_term
-        if first:
-            rhs[:, 0] = -g_term[:, 0]
+        rhs = c * (_with_prev(prev["update"], update)
+                   - alpha * _with_prev(prev["m"], m) * scaled) - g_term
         resid = np.abs(step - rhs).max(axis=-1)
         scale = 1.0 + np.abs(step).max(axis=-1)
         self.resid = np.maximum(self.resid, (resid / scale).max(axis=-1))
 
         # z_step_bound; monotonicity uses the raw power, where a zero
         # denominator is +inf: a dead coordinate waking up is a decrease
-        ok = eff <= _with_prev(prev.get("eff"), eff) * (1.0 + 1e-12) + 1e-300
-        if first:
-            ok[:, 0] = True
+        ok = eff <= _with_prev(prev["eff"], eff) * (1.0 + 1e-12) + 1e-300
         self.monotone &= ok.all(axis=(1, 2))
         lhs = _norms(step)
         rhs = _norms(g_term) + c * _norms(moved)
@@ -520,7 +515,11 @@ def run_trajectory_checks(
             f"trajectory checks apply to padam-family traces, got {opt!r}"
         )
     if cfg is None:
-        cfg = entry.padam_config(trace.meta["config"]["optimizer-params"])
+        params = trace.meta.get("config", {}).get("optimizer-params")
+        if params is None:  # a CLI sidecar records flat settings
+            raise ValueError("the trace records no optimizer-params; "
+                             "pass cfg")
+        cfg = entry.padam_config(params)
     return _one_window(trace, cfg, problem).results(0, trace)
 
 

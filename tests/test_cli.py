@@ -209,7 +209,7 @@ def test_sweep_p_default_grid(tmp_path, capsys):
     assert p_values == [0.0625, 0.125, 0.2, 0.25, 0.4]
     assert len(rows) == 5 * 15
     meta = json.loads((tmp_path / "sweep.meta.json").read_text())
-    assert meta["config"]["milestones"] == []
+    assert "milestones" not in meta["config"]  # the schedule is constant
 
 
 def test_sweep_p_custom_grid(tmp_path, capsys):
@@ -474,6 +474,46 @@ def test_list_keys_as_flags_match_json_lists(command, values, tmp_path,
     meta = next(json.loads(text) for name, text in flags.items()
                 if name.endswith(".meta.json"))
     assert meta["config"]["milestones"] == [10, 20]
+
+
+# argv, the mean table's sidecar, and keys given that did not apply
+_REPLAY_CASES = [
+    (["run", "--problem", "quadratic", "--dim", "3", "--steps", "12",
+      "--seeds", "3", "--rho", "0.5"], "summary", ["rho"]),
+    (["sweep-p", "--problem", "quadratic", "--dim", "3", "--steps", "25",
+      "--seeds", "2", "--schedule", "multistage", "--milestones", "10,20",
+      "--p-list", "0.5,0.25", "--data-seed", "7"], "sweep", ["data-seed"]),
+    (["compare", "--problem", "quadratic", "--dim", "3", "--steps", "15",
+      "--seeds", "2", "--lr", "0.01", "--decay", "0.5"], "compare",
+     ["decay"]),
+    (["compare", "--problem", "quadratic", "--dim", "3", "--steps", "15",
+      "--seeds", "2", "--data-seed", "7"], "compare", ["lr", "data-seed"]),
+    (["compare", "--problem", "logistic", "--dim", "3", "--n-samples", "40",
+      "--data-seed", "5", "--steps", "15", "--seeds", "2", "--optimizers",
+      "sgdm,adamw", "--p", "0.25"], "compare", ["lr", "noise", "p"]),
+]
+
+
+@pytest.mark.parametrize("argv, table, unused", _REPLAY_CASES, ids=[
+    "run-seeds3", "sweep-p-multistage", "compare-lr", "compare-own-lrs",
+    "compare-logistic"])
+def test_sidecar_config_replays(argv, table, unused, tmp_path, capsys):
+    # a mean table's sidecar records what ran: its config, with the grid,
+    # optimizers and seed count beside it, run again writes the same files
+    assert main(argv + ["--outdir", str(tmp_path / "first")]) == 0
+    meta = json.loads((tmp_path / "first" / f"{table}.meta.json")
+                      .read_text())
+    assert not set(unused) & set(meta["config"])
+    names = {"p_grid": "p-list", "optimizers": "optimizers", "seeds": "seeds"}
+    replay = dict(meta["config"], **{names[k]: v for k, v in meta.items()
+                                     if k != "config"})
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(replay))
+    assert main([argv[0], "--config", str(cfg_path),
+                 "--outdir", str(tmp_path / "replay")]) == 0
+    first = _written_files(tmp_path / "first")
+    assert any(name.endswith(".csv") for name in first)
+    assert _written_files(tmp_path / "replay") == first
 
 
 @pytest.mark.parametrize("argv, key", [

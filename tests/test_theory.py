@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from padambench import harness
+from padambench.cli import main
 from padambench.harness import (
     RunSpec,
     Schedule,
+    read_trace_csv,
     repeat_runs,
     run,
     select_output_indices,
@@ -263,6 +265,16 @@ def test_trajectory_checks_reject_foreign_optimizer():
     trace = run(spec)
     with pytest.raises(ValueError):
         run_trajectory_checks(trace, prob, PadamConfig())
+
+
+def test_trajectory_checks_on_a_cli_trace_ask_for_cfg(tmp_path, capsys):
+    # a CLI sidecar records flat settings, not the library's
+    # optimizer-params, so the step rule's config must be passed in
+    assert main(["run", "--problem", "quadratic", "--dim", "3", "--steps",
+                 "10", "--outdir", str(tmp_path)]) == 0
+    trace = read_trace_csv(tmp_path / "trace.csv")
+    with pytest.raises(ValueError, match="pass cfg"):
+        run_trajectory_checks(trace, make_quadratic(3, 10.0, 0.1))
 
 
 def _smoothness_gap_per_row(trace, problem, cfg, L):

@@ -101,6 +101,11 @@ COMMANDS: dict[str, tuple[list[str], dict[str, object]]] = {
                       "--seeds", "3", "--optimizers", "adam"], {}),
     "sweep-p-one": (["sweep-p", "--problem", "quadratic", "--steps", "40",
                      "--seeds", "2", "--p-list", "0.25"], {}),
+    # one lr given to every optimizer, not each one's compare_lr
+    "compare-lr": (["compare", "--problem", "quadratic", "--lr", "0.01",
+                    "--steps", "40", "--seeds", "2"], {}),
+    "sweep-p-logistic": (["sweep-p", "--problem", "logistic", "--steps",
+                          "30", "--seeds", "2"], {}),
     # one block across optimizers, some of whose rows diverge
     "compare-diverging": (["compare", "--problem", "rosenbrock",
                            "--lr", "0.5", "--steps", "100",
